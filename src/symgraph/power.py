@@ -11,14 +11,25 @@ Two independent kernels fill the core:
 * ``orbit``     -- the defining double sum over all rearrangements of the two
                    index tuples.  Cost per entry is |orbit(i)| * |orbit(j)| * k;
                    slow and unimpeachable, so it serves as the reference.
-* ``permanent`` -- each core entry equals D[i] * D[j] / k! times the permanent
-                   of the k x k submatrix A[i_a, j_b], evaluated with Ryser's
-                   inclusion-exclusion in O(2^k * k).  Far faster for k >= 3.
+* ``permanent`` -- the symmetric power acting on degree-k polynomials (Bhatia,
+                   *Matrix Analysis*, I.5): S[i][j] = D[i] times the coefficient
+                   of x^m(j) in prod_a (sum_v A[i_a, v] x_v), where m(j) counts
+                   the vertices of j.  The products are expanded one degree at
+                   a time for all rows at once, n numpy updates per degree.
+                   The method is named for the identity S[i][j] =
+                   D[i] * D[j] / k! * perm(A[i_a, j_b]);
+                   ``ryser_permanent`` and ``entry_permanent`` evaluate that
+                   permanent per entry and serve as the oracle.
 
-Both kernels have a vectorized numpy path (int64 when the value bounds allow,
-float64 otherwise) and a pure-Python exact path used as fallback when int64
-could overflow.  Entry computations are independent; only the upper triangle
-is computed and then mirrored, so results are deterministic.
+Rational input is scaled to integers by the common denominator L first.  The
+``permanent`` core then runs in int64 when D_max * r^k < 2^62, r being the
+largest absolute row sum of the scaled matrix: no degree-d partial sum can
+exceed r^d.  Past that bound the same code runs on Python ints
+(``dtype=object``).  The result is divided by L^k exactly.  Float input runs
+in float64; nonnegative weights then give exact zeros wherever the exact power
+is zero, since nothing is subtracted.  The ``orbit`` kernel has an int64 or
+float64 numpy path and a pure-Python fallback.  ``SymPowerMatrix.path`` says
+which of int64, object, float64 or python ran.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -55,6 +66,10 @@ MAX_DIM_ENV = "SYMTENSOR_MAX_N"
 _ORDERED_TABLE_CAP = 2_000_000
 
 _INT64_SAFE = 2**62
+
+# elements in each temporary of one linear-form update: 128 KiB at 8 bytes,
+# small enough to stay in cache, which measured faster than whole levels
+_BLOCK_ELEMS = 1 << 14
 
 
 class SizeBudgetError(ValueError):
@@ -104,6 +119,30 @@ def _ordered_table(n: int, k: int, order: str) -> tuple[np.ndarray, np.ndarray]:
         ranks[idx] = rank_by_tuple[tuple(sorted(q))]
     ordered -= 1
     return ordered, ranks
+
+
+@lru_cache(maxsize=8)
+def _linear_form_tables(n: int, k: int, order: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Index arrays (parent, last, up) of the linear-form kernel, for d = 2..k.
+
+    Rows and monomials of degree d are both ranked as the sorted d-tuples of
+    ``_index_data(n, d, order)``.  Row r of degree d extends row ``parent[r]``
+    of degree d-1 by the 0-based vertex ``last[r]``; ``up[m, u]`` is the rank
+    of monomial m of degree d-1 times x_u.
+    """
+    levels = []
+    prev = {t: i for i, t in enumerate(_index_data(n, 1, order)[0])}
+    for d in range(2, k + 1):
+        cur = {t: i for i, t in enumerate(_index_data(n, d, order)[0])}
+        parent = np.array([prev[t[:-1]] for t in cur], dtype=np.intp)
+        last = np.array([t[-1] - 1 for t in cur], dtype=np.intp)
+        up = np.array(
+            [[cur[tuple(sorted(t + (u,)))] for u in range(1, n + 1)] for t in prev],
+            dtype=np.intp,
+        )
+        levels.append((parent, last, up))
+        prev = cur
+    return tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +299,6 @@ def _core_orbit_python(rows, n, k, order):
     return core
 
 
-def _core_permanent_python(rows, n, k, order, cap):
-    if k > cap:
-        raise PermanentCapError(
-            f"k={k} exceeds the permanent cap {cap}; use the orbit kernel instead"
-        )
-    tuples, sizes = _index_data(n, k, order)
-    kfact = math.factorial(k)
-    big = len(tuples)
-    core = [[0] * big for _ in range(big)]
-    for a in range(big):
-        ta = tuples[a]
-        for b in range(a, big):
-            tb = tuples[b]
-            sub = [[rows[x - 1][y - 1] for y in tb] for x in ta]
-            val = Fraction(sizes[a] * sizes[b], kfact) * _ryser(sub)
-            if isinstance(val, Fraction) and val.denominator == 1:
-                val = int(val)
-            core[a][b] = val
-            core[b][a] = val
-    return core
-
-
 def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str, chunk: int = 8192):
     """Literal double sum for all entries, chunked per row.
 
@@ -310,44 +327,37 @@ def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str, chunk: int 
     return core
 
 
-def _core_permanent_numpy(a_mat: np.ndarray, n: int, k: int, order: str):
-    """Vectorized Ryser: one Gray-code walk per column, all rows at once."""
-    dtype = a_mat.dtype
-    tuples, sizes = _index_data(n, k, order)
-    big = len(tuples)
-    tuples0 = np.array(tuples, dtype=np.int64) - 1
-    d_arr = np.array(sizes, dtype=dtype)
-    kfact = math.factorial(k)
-    sign_k = 1 if k % 2 == 0 else -1
-    core = np.zeros((big, big), dtype=dtype)
-    for b in range(big):
-        col_mat = a_mat[:, tuples0[b]]  # (n, k)
-        row_idx = tuples0[: b + 1]
-        acc = np.zeros(b + 1, dtype=dtype)
-        cs = np.zeros(n, dtype=dtype)
-        prev = 0
-        for g in range(1, 1 << k):
-            gray = g ^ (g >> 1)
-            j = (gray ^ prev).bit_length() - 1
-            if gray & (gray ^ prev):
-                cs += col_mat[:, j]
-            else:
-                cs -= col_mat[:, j]
-            prev = gray
-            prod = cs[row_idx].prod(axis=1)
-            if gray.bit_count() & 1:
-                acc -= prod
-            else:
-                acc += prod
-        perms = sign_k * acc
-        vals = d_arr[: b + 1] * d_arr[b] * perms
-        if dtype == np.int64:
-            vals = vals // kfact  # exact: the core is an integer by construction
-        else:
-            vals = vals / kfact
-        core[: b + 1, b] = vals
-        core[b, : b + 1] = vals
-    return core
+def _core_linear_forms(a: np.ndarray, n: int, k: int, order: str) -> np.ndarray:
+    """Core by expanding the product of linear forms, one degree at a time.
+
+    Row i of the degree-d coefficient matrix holds the coefficients of
+    prod_a (sum_v a[i_a, v] x_v) over the tuple's first d entries.  At
+    d = k the coefficient of x^{m(j)} sums prod_a a[i_a, q_a] over the
+    rearrangements q of j, so S_ij is D_i times it.  Every value is a sum of
+    products of entries of ``a`` with no subtraction added, so each partial
+    sum of a degree-d row is at most r^d in absolute value (r the largest
+    absolute row sum of ``a``), and nonnegative input keeps exact zeros in
+    float64.  Runs in the dtype of ``a``: int64, object or float64.
+    """
+    coef = a.copy()
+    for parent, last, up in _linear_form_tables(n, k, order):
+        nxt = np.zeros((len(parent), len(parent)), dtype=a.dtype)
+        # row blocks bound the three temporaries of the update below
+        step = max(1, _BLOCK_ELEMS // coef.shape[1])
+        for lo in range(0, len(parent), step):
+            src = coef[parent[lo : lo + step]]
+            weights = a[last[lo : lo + step]]
+            out = nxt[lo : lo + step]
+            for u in range(n):
+                out[:, up[:, u]] += src * weights[:, u : u + 1]
+        coef = nxt
+    _, sizes = _index_data(n, k, order)
+    coef *= np.array(sizes, dtype=a.dtype)[:, None]
+    if coef.dtype == np.float64:
+        # rounding differs between D_i c_ij and D_j c_ji: keep the upper triangle
+        for i in range(1, len(sizes)):
+            coef[i, :i] = coef[:i, i]
+    return coef
 
 
 def _scaled_int_rows(rows: list[list]) -> tuple[list[list[int]], int]:
@@ -361,12 +371,15 @@ def _scaled_int_rows(rows: list[list]) -> tuple[list[list[int]], int]:
     return scaled, scale
 
 
-def _int64_bound(method: str, k: int, w_max: int, d_max: int) -> int:
+def _int64_bound(method: str, k: int, int_rows: list[list[int]], d_max: int) -> int:
+    """Largest absolute value any int64 intermediate of the core can reach."""
     if method == "orbit":
+        # d_max^2 rearrangement pairs per entry, each a product of k weights
+        w_max = max((abs(x) for r in int_rows for x in r), default=0) or 1
         return d_max * d_max * w_max**k
-    # Ryser intermediate: |column-subset sums| <= k*w, products <= (k*w)^k,
-    # accumulated over < 2^k subsets, then scaled by the two orbit sizes
-    return d_max * d_max * (2**k) * (k * w_max) ** k
+    # linear forms: a degree-d row's coefficients sum to at most r^d in absolute value
+    r = max(sum(abs(x) for x in row) for row in int_rows)
+    return d_max * r**k
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,7 +388,10 @@ class SymPowerMatrix:
 
     ``core`` is a nested list of ints/Fractions when ``exact`` (rational
     input weights), else a float64 array.  The materialized entry is
-    core[i][j] / sqrt(D[i] * D[j]).
+    core[i][j] / sqrt(D[i] * D[j]).  ``path`` names the arithmetic the core
+    was built in: ``"int64"``, ``"object"`` (Python ints past the int64
+    bound), ``"float64"``, or ``"python"`` for the orbit kernel's pure-Python
+    fallback.
     """
 
     n: int
@@ -383,6 +399,7 @@ class SymPowerMatrix:
     order: str
     method: str
     exact: bool
+    path: str
     tuples: tuple[tuple[int, ...], ...]
     orbit_sizes: tuple[int, ...]
     core: object = field(repr=False)
@@ -467,18 +484,18 @@ def sym_power(
 
     if exact:
         int_rows, scale = _scaled_int_rows(rows)
-        w_max = max((abs(x) for r in int_rows for x in r), default=0) or 1
-        d_max = max(sizes)
-        use_numpy = _int64_bound(method, k, w_max, d_max) < _INT64_SAFE
-        if method == "orbit" and n**k > _ORDERED_TABLE_CAP:
-            use_numpy = False
-        if use_numpy:
-            a_mat = np.array(int_rows, dtype=np.int64)
-            if method == "orbit":
-                s64 = _core_orbit_numpy(a_mat, n, k, order)
+        fits = _int64_bound(method, k, int_rows, max(sizes)) < _INT64_SAFE
+        if method == "orbit" and not (fits and n**k <= _ORDERED_TABLE_CAP):
+            path = "python"
+            core = _core_orbit_python(rows, n, k, order)
+        else:
+            if method == "permanent":
+                path = "int64" if fits else "object"
+                s = _core_linear_forms(np.array(int_rows, dtype=path), n, k, order)
             else:
-                s64 = _core_permanent_numpy(a_mat, n, k, order)
-            raw = s64.tolist()
+                path = "int64"
+                s = _core_orbit_numpy(np.array(int_rows, dtype=np.int64), n, k, order)
+            raw = s.tolist()
             if scale == 1:
                 core = raw
             else:
@@ -487,22 +504,18 @@ def sym_power(
                     [int(f) if (f := Fraction(x, den)).denominator == 1 else f for x in row]
                     for row in raw
                 ]
-        else:
-            if method == "orbit":
-                core = _core_orbit_python(rows, n, k, order)
-            else:
-                core = _core_permanent_python(rows, n, k, order, permanent_cap)
     else:
         a_mat = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
-        if method == "orbit":
-            if n**k > _ORDERED_TABLE_CAP:
-                core = np.array(
-                    [[float(x) for x in row] for row in _core_orbit_python(rows, n, k, order)]
-                )
-            else:
-                core = _core_orbit_numpy(a_mat, n, k, order)
+        path = "float64"
+        if method == "permanent":
+            core = _core_linear_forms(a_mat, n, k, order)
+        elif n**k <= _ORDERED_TABLE_CAP:
+            core = _core_orbit_numpy(a_mat, n, k, order)
         else:
-            core = _core_permanent_numpy(a_mat, n, k, order)
+            path = "python"
+            core = np.array(
+                [[float(x) for x in row] for row in _core_orbit_python(rows, n, k, order)]
+            )
 
     return SymPowerMatrix(
         n=n,
@@ -510,6 +523,7 @@ def sym_power(
         order=order,
         method=method,
         exact=exact,
+        path=path,
         tuples=tuples,
         orbit_sizes=sizes,
         core=core,

@@ -51,6 +51,18 @@ def test_pipeline_family_power_stats(capsys, monkeypatch):
     assert stats["loops"] == 2
 
 
+@pytest.mark.parametrize("weight", ["1", "0.3"])
+def test_pipeline_float_weights_add_no_edges(capsys, monkeypatch, weight):
+    graph_text = "5\n" + "".join(f"{v} {v + 1} {weight}\n" for v in range(1, 5))
+    code, power_text, _ = run_cli(capsys, ["power", "-k", "3"], stdin=graph_text, monkeypatch=monkeypatch)
+    assert code == 0
+    code, stats_text, _ = run_cli(capsys, ["stats"], stdin=power_text, monkeypatch=monkeypatch)
+    assert code == 0
+    stats = json.loads(stats_text)
+    assert stats["components"] == 2
+    assert stats["edges"] == 60
+
+
 def test_power_from_file_deterministic(tmp_path, capsys):
     source = tmp_path / "in.txt"
     source.write_text("3\n1 2\n2 3\n")

@@ -253,10 +253,9 @@ def test_kernels_agree_on_random_rational_graphs():
 
 def test_python_fallback_matches_int64_paths():
     from symgraph.power import (
+        _core_linear_forms,
         _core_orbit_numpy,
         _core_orbit_python,
-        _core_permanent_numpy,
-        _core_permanent_python,
     )
 
     rng = random.Random(13)
@@ -270,12 +269,11 @@ def test_python_fallback_matches_int64_paths():
                 rows[u][v] = w
                 rows[v][u] = w
         a64 = np.array(rows, dtype=np.int64)
-        assert _core_orbit_numpy(a64, n, k, "paper").tolist() == _core_orbit_python(
-            rows, n, k, "paper"
-        )
-        assert _core_permanent_numpy(a64, n, k, "paper").tolist() == _core_permanent_python(
-            rows, n, k, "paper", 20
-        )
+        reference = _core_orbit_python(rows, n, k, "paper")
+        assert _core_orbit_numpy(a64, n, k, "paper").tolist() == reference
+        assert _core_linear_forms(a64, n, k, "paper").tolist() == reference
+        a_obj = np.array(rows, dtype=object)
+        assert _core_linear_forms(a_obj, n, k, "paper").tolist() == reference
 
 
 def test_float_mode_close_to_exact():
@@ -327,6 +325,73 @@ def test_huge_weights_use_python_exact_fallback():
     assert a.exact and isinstance(a.core, list)
     assert a.core == b.core
     assert a.core[0][1] == (big + 1) ** 4  # constant tuples: plain 4th power
+
+
+def _largest_int64_row_sum(k, d_max):
+    r = round((2**62 / d_max) ** (1 / k))
+    while d_max * r**k >= 2**62:
+        r -= 1
+    while d_max * (r + 1) ** k < 2**62:
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("over, path", [(0, "int64"), (1, "object")])
+def test_int64_object_switch_at_the_bound(over, path):
+    k = 3
+    d_max = 3  # orbit size of (1,1,2) and (1,2,2)
+    r = _largest_int64_row_sum(k, d_max) + over
+    # row 1 has the largest absolute row sum, r; the minus sign makes signed sums
+    g = WeightedGraph(2, {(1, 1): r - 5, (1, 2): -5, (2, 2): 1})
+    fast = sym_power(g, k)
+    reference = sym_power(g, k, method="orbit")
+    assert max(fast.orbit_sizes) == d_max
+    assert (d_max * r**k < 2**62) == (path == "int64")
+    assert fast.path == path
+    assert reference.path == "python"
+    assert fast.core == reference.core
+    assert fast.core[0][0] == (r - 5) ** 3
+
+
+@pytest.mark.parametrize("k, path", [(5, "int64"), (6, "object"), (7, "int64"), (8, "object")])
+def test_core_matches_ryser_entries_at_large_k(k, path):
+    # the orbit kernel is too slow here, so Ryser's per-entry permanent is the oracle
+    rng = random.Random(300 + k)
+    n = 4
+    weights = {}
+    for u in range(1, n + 1):
+        for v in range(u, n + 1):
+            if rng.random() < 0.7:
+                weights[(u, v)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+    g = WeightedGraph(n, weights)
+    rows = g.weight_rows()
+    power = sym_power(g, k)
+    assert power.path == path
+    dim = power.dim
+    nonzero = [(i, j) for i in range(dim) for j in range(i, dim) if power.core[i][j]]
+    pairs = [(rng.randrange(dim), rng.randrange(dim)) for _ in range(8)]
+    for i, j in pairs + rng.sample(nonzero, 8):
+        ti = VertexMultiset(power.tuples[i], n)
+        tj = VertexMultiset(power.tuples[j], n)
+        assert power.entry_exact(i, j) == entry_permanent(rows, ti, tj)
+
+
+def test_float_power_of_nonnegative_weights_keeps_the_exact_support():
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, 4)
+        weights = {(1, 2): Fraction(1, 3)}
+        for u in range(1, n + 1):
+            for v in range(u, n + 1):
+                if rng.random() < 0.6:
+                    weights[(u, v)] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        exact = sym_power(WeightedGraph(n, weights), k).to_dense()
+        floaty = sym_power(WeightedGraph(n, {e: float(w) for e, w in weights.items()}), k)
+        assert floaty.path == "float64"
+        got = floaty.to_dense()
+        assert np.array_equal(got != 0, exact != 0)
+        assert np.allclose(got, exact, rtol=1e-12, atol=0)
 
 
 def test_size_budget():
