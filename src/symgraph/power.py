@@ -330,14 +330,14 @@ def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str, chunk: int 
 def _core_linear_forms(a: np.ndarray, n: int, k: int, order: str) -> np.ndarray:
     """Core by expanding the product of linear forms, one degree at a time.
 
-    Row i of the degree-d coefficient matrix holds the coefficients of
-    prod_a (sum_v a[i_a, v] x_v) over the tuple's first d entries.  At
+    Row t of the degree-d matrix holds the coefficients, over the degree-d
+    monomials, of prod_a (sum_v a[t_a, v] x_v) for the sorted d-tuple t.  At
     d = k the coefficient of x^{m(j)} sums prod_a a[i_a, q_a] over the
     rearrangements q of j, so S_ij is D_i times it.  Every value is a sum of
-    products of entries of ``a`` with no subtraction added, so each partial
-    sum of a degree-d row is at most r^d in absolute value (r the largest
-    absolute row sum of ``a``), and nonnegative input keeps exact zeros in
-    float64.  Runs in the dtype of ``a``: int64, object or float64.
+    products of entries of ``a`` with no subtraction added, so the absolute
+    values in a degree-d row sum to at most r^d (r the largest absolute row
+    sum of ``a``), which bounds every intermediate, and nonnegative input
+    keeps exact zeros in float64.  Runs in the dtype of ``a``: int64, object or float64.
     """
     coef = a.copy()
     for parent, last, up in _linear_form_tables(n, k, order):
