@@ -2,15 +2,18 @@
 
 The power of a graph on n vertices at exponent k is a graph on the
 N = binomial(n+k-1, k) sorted k-tuples of vertices.  Its adjacency matrix is
-assembled from an integer/rational "core" S plus a vector D of orbit sizes;
-the materialized entry is S[i][j] / sqrt(D[i] * D[j]).  Keeping S and D
-separate means 0/1 and rational inputs stay exact all the way through.
+kept in factored form: an N x N ndarray core S, a common denominator L^k and
+a vector D of orbit sizes; the materialized entry is
+S[i, j] / (L^k * sqrt(D[i] * D[j])).  Keeping the three apart means 0/1 and
+rational inputs stay exact all the way through.
 
 Two independent kernels fill the core:
 
 * ``orbit``     -- the defining double sum over all rearrangements of the two
                    index tuples.  Cost per entry is |orbit(i)| * |orbit(j)| * k;
-                   slow and unimpeachable, so it serves as the reference.
+                   slow and unimpeachable, so it serves as the reference.  It
+                   tabulates all n^k ordered tuples and refuses with
+                   :class:`SizeBudgetError` when n^k exceeds 2,000,000.
 * ``permanent`` -- the symmetric power acting on degree-k polynomials (Bhatia,
                    *Matrix Analysis*, I.5): S[i][j] = D[i] times the coefficient
                    of x^m(j) in prod_a (sum_v A[i_a, v] x_v), where m(j) counts
@@ -21,15 +24,15 @@ Two independent kernels fill the core:
                    ``ryser_permanent`` and ``entry_permanent`` evaluate that
                    permanent per entry and serve as the oracle.
 
-Rational input is scaled to integers by the common denominator L first.  The
-``permanent`` core then runs in int64 when D_max * r^k < 2^62, r being the
-largest absolute row sum of the scaled matrix: no degree-d partial sum can
-exceed r^d.  Past that bound the same code runs on Python ints
-(``dtype=object``).  The result is divided by L^k exactly.  Float input runs
-in float64; nonnegative weights then give exact zeros wherever the exact power
-is zero, since nothing is subtracted.  The ``orbit`` kernel has an int64 or
-float64 numpy path and a pure-Python fallback.  ``SymPowerMatrix.path`` says
-which of int64, object, float64 or python ran.  Results are deterministic.
+Rational input is scaled to integers by the common denominator L first, and
+either kernel runs on the scaled matrix in int64 while a bound on every
+intermediate stays below 2^62, on Python ints (``dtype=object``) past it.  The
+``permanent`` bound is D_max * r^k, r being the largest absolute row sum of the
+scaled matrix: no degree-d partial sum can exceed r^d.  The ``orbit`` bound is
+D_max^2 * w_max^k.  Float input runs in float64; nonnegative weights then give
+exact zeros in the ``permanent`` core wherever the exact power is zero, since
+nothing is subtracted.  ``SymPowerMatrix.path`` says which of int64, object or
+float64 ran.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ PERMANENT_CAP_DEFAULT = 20  # Ryser walks 2^k subsets; beyond this, refuse
 DEFAULT_MAX_DIM = 5000
 MAX_DIM_ENV = "SYMTENSOR_MAX_N"
 
-# the numpy orbit kernel tabulates all n^k ordered tuples; past this size the
-# table itself is the problem and the pure-Python path takes over
+# the orbit kernel tabulates all n^k ordered tuples; past this size it refuses
+# before allocating, as its double sum would take over (n^k)^2 / 2 products
 _ORDERED_TABLE_CAP = 2_000_000
 
 _INT64_SAFE = 2**62
@@ -77,7 +80,7 @@ class SizeBudgetError(ValueError):
 
 
 class PermanentCapError(ValueError):
-    """k exceeds the permanent kernel's subset-enumeration cap."""
+    """The permanent's size exceeds Ryser's subset-enumeration cap."""
 
 
 def _max_dim() -> int:
@@ -276,36 +279,14 @@ def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset, cap: int = PER
 # ---------------------------------------------------------------------------
 
 
-def _core_orbit_python(rows, n, k, order):
-    tuples, _ = _index_data(n, k, order)
-    orbits = [enumerate_orbit(VertexMultiset(t, n)) for t in tuples]
-    big = len(tuples)
-    core = [[0] * big for _ in range(big)]
-    for a in range(big):
-        for b in range(a, big):
-            total = 0
-            for p in orbits[a]:
-                for q in orbits[b]:
-                    prod = 1
-                    for x, y in zip(p, q):
-                        w = rows[x - 1][y - 1]
-                        if not w:
-                            break
-                        prod *= w
-                    else:
-                        total += prod
-            core[a][b] = total
-            core[b][a] = total
-    return core
-
-
 def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str, chunk: int = 8192):
     """Literal double sum for all entries, chunked per row.
 
     For row i the kernel materializes the product of k matrix entries for
     every (p, q) with p a rearrangement of tuple i and q ANY ordered tuple
     whose sorted form has rank >= i, then folds the q-axis by that rank.
-    Work and memory are exactly the upper-triangle double-sum terms.
+    Work and memory are exactly the upper-triangle double-sum terms.  Runs in
+    the dtype of ``a_mat``: int64, object or float64.
     """
     dtype = a_mat.dtype
     big = multiset_count(n, k)
@@ -384,14 +365,14 @@ def _int64_bound(method: str, k: int, int_rows: list[list[int]], d_max: int) -> 
 
 @dataclass(frozen=True, eq=False)
 class SymPowerMatrix:
-    """The N x N power matrix in factored form: core S and orbit sizes D.
+    """The N x N power matrix in factored form: core, denominator, orbit sizes.
 
-    ``core`` is a nested list of ints/Fractions when ``exact`` (rational
-    input weights), else a float64 array.  The materialized entry is
-    core[i][j] / sqrt(D[i] * D[j]).  ``path`` names the arithmetic the core
-    was built in: ``"int64"``, ``"object"`` (Python ints past the int64
-    bound), ``"float64"``, or ``"python"`` for the orbit kernel's pure-Python
-    fallback.
+    ``core`` is an N x N ndarray whose dtype is ``path``: ``"int64"``,
+    ``"object"`` (Python ints past the int64 bound) or ``"float64"``.  When
+    ``exact`` (rational input weights) it holds integers and the core entry
+    S[i][j] is core[i, j] / ``denominator``, ``denominator`` being L^k for the
+    common denominator L of the input weights; float input has
+    ``denominator`` 1.  The materialized entry is S[i][j] / sqrt(D[i] * D[j]).
     """
 
     n: int
@@ -400,18 +381,19 @@ class SymPowerMatrix:
     method: str
     exact: bool
     path: str
+    denominator: int
     tuples: tuple[tuple[int, ...], ...]
     orbit_sizes: tuple[int, ...]
-    core: object = field(repr=False)
+    core: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.orbit_sizes)
 
     def core_entry(self, i: int, j: int):
-        if isinstance(self.core, np.ndarray):
-            return self.core[i, j]
-        return self.core[i][j]
+        """S[i][j] as a Python int or Fraction when exact, else a float."""
+        x = self.core.item(i, j)
+        return x if self.denominator == 1 else Fraction(x, self.denominator)
 
     def entry(self, i: int, j: int) -> float:
         d = self.orbit_sizes[i] * self.orbit_sizes[j]
@@ -421,15 +403,17 @@ class SymPowerMatrix:
         if not self.exact:
             raise ValueError("matrix was computed in float mode; exact entries unavailable")
         d = self.orbit_sizes[i] * self.orbit_sizes[j]
-        return ExactWeight.make(Fraction(self.core_entry(i, j), d), d)
+        return ExactWeight.make(Fraction(self.core.item(i, j), self.denominator * d), d)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the float matrix E = S / sqrt(D outer D)."""
         d = np.array(self.orbit_sizes, dtype=np.float64)
-        if isinstance(self.core, np.ndarray):
+        if self.denominator == 1:
             s = self.core.astype(np.float64)
         else:
-            s = np.array([[float(x) for x in row] for row in self.core])
+            # Python int division rounds once; float64 division would round
+            # the numerator or L^k first once either passes 2^53
+            s = (self.core.astype(object) / self.denominator).astype(np.float64)
         return s / np.sqrt(np.outer(d, d))
 
     def vertex_labels(self) -> tuple[str, ...]:
@@ -452,7 +436,6 @@ def sym_power(
     method: str = "permanent",
     order: str = "paper",
     max_dim: int | None = None,
-    permanent_cap: int = PERMANENT_CAP_DEFAULT,
 ) -> SymPowerMatrix:
     """Adjacency matrix of the k-th symmetric tensor power of ``graph``.
 
@@ -460,7 +443,7 @@ def sym_power(
     the whole core to float64.  The result is deterministic for fixed
     arguments.  Raises :class:`SizeBudgetError` when the power dimension
     exceeds ``max_dim`` (default: the SYMTENSOR_MAX_N environment variable,
-    else 5000).
+    else 5000), and for ``method="orbit"`` when n^k exceeds 2,000,000.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -474,48 +457,25 @@ def sym_power(
             f"power dimension N={big} (n={n}, k={k}) exceeds the budget {cap}; "
             f"raise {MAX_DIM_ENV} to override"
         )
-    if method == "permanent" and k > permanent_cap:
-        raise PermanentCapError(
-            f"k={k} exceeds the permanent cap {permanent_cap}; use the orbit kernel instead"
+    if method == "orbit" and n**k > _ORDERED_TABLE_CAP:
+        raise SizeBudgetError(
+            f"the orbit kernel tabulates n^k = {n**k} ordered tuples (n={n}, k={k}), "
+            f"more than its cap {_ORDERED_TABLE_CAP}; use the permanent kernel"
         )
     tuples, sizes = _index_data(n, k, order)
     rows = graph.weight_rows()
     exact = graph.is_rational
-
+    denominator = 1
     if exact:
         int_rows, scale = _scaled_int_rows(rows)
+        denominator = scale**k
         fits = _int64_bound(method, k, int_rows, max(sizes)) < _INT64_SAFE
-        if method == "orbit" and not (fits and n**k <= _ORDERED_TABLE_CAP):
-            path = "python"
-            core = _core_orbit_python(rows, n, k, order)
-        else:
-            if method == "permanent":
-                path = "int64" if fits else "object"
-                s = _core_linear_forms(np.array(int_rows, dtype=path), n, k, order)
-            else:
-                path = "int64"
-                s = _core_orbit_numpy(np.array(int_rows, dtype=np.int64), n, k, order)
-            raw = s.tolist()
-            if scale == 1:
-                core = raw
-            else:
-                den = scale**k
-                core = [
-                    [int(f) if (f := Fraction(x, den)).denominator == 1 else f for x in row]
-                    for row in raw
-                ]
+        path = "int64" if fits else "object"
+        a = np.array(int_rows, dtype=path)
     else:
-        a_mat = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
         path = "float64"
-        if method == "permanent":
-            core = _core_linear_forms(a_mat, n, k, order)
-        elif n**k <= _ORDERED_TABLE_CAP:
-            core = _core_orbit_numpy(a_mat, n, k, order)
-        else:
-            path = "python"
-            core = np.array(
-                [[float(x) for x in row] for row in _core_orbit_python(rows, n, k, order)]
-            )
+        a = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
+    kernel = _core_linear_forms if method == "permanent" else _core_orbit_numpy
 
     return SymPowerMatrix(
         n=n,
@@ -524,9 +484,10 @@ def sym_power(
         method=method,
         exact=exact,
         path=path,
+        denominator=denominator,
         tuples=tuples,
         orbit_sizes=sizes,
-        core=core,
+        core=kernel(a, n, k, order),
     )
 
 
@@ -648,43 +609,3 @@ def loop_injection(t: VertexMultiset, loop_vertex: int, k2: int) -> VertexMultis
 def edge_injection(t: VertexMultiset, u: int, v: int, steps: int) -> VertexMultiset:
     """Pad with ``steps`` copies of an adjacent pair, lifting k to k + 2*steps."""
     return extend_multiset(t, (u, v) * steps)
-
-
-def weight_nesting_report(
-    graph: WeightedGraph,
-    k1: int,
-    k2: int,
-    method: str = "permanent",
-    order: str = "paper",
-) -> list[tuple[str, str, float, float]]:
-    """Exploratory comparison of edge weights across two powers.
-
-    Maps each edge of the k1 power into the k2 power (padding with a looped
-    vertex when one exists, else with an adjacent pair; k2 - k1 must then be
-    even) and tabulates (label_i, label_j, weight_k1, weight_k2).  No
-    monotonicity is asserted; this exists to poke at the question.
-    """
-    looped = [v for v in range(1, graph.n + 1) if graph.weight(v, v) != 0]
-    if looped:
-        lift = lambda t: loop_injection(t, looped[0], k2)  # noqa: E731
-    else:
-        if (k2 - k1) % 2 != 0:
-            raise ValueError("without a loop, k2 - k1 must be even")
-        uv = next(((u, v) for u, v, _ in graph.edges() if u != v), None)
-        if uv is None:
-            raise ValueError("graph has no edge to alternate along")
-        lift = lambda t: edge_injection(t, uv[0], uv[1], (k2 - k1) // 2)  # noqa: E731
-    small = sym_power(graph, k1, method=method, order=order)
-    large = sym_power(graph, k2, method=method, order=order)
-    report = []
-    for a in range(small.dim):
-        for b in range(a, small.dim):
-            w1 = small.entry(a, b)
-            if w1 == 0.0:
-                continue
-            ta = VertexMultiset(small.tuples[a], graph.n)
-            tb = VertexMultiset(small.tuples[b], graph.n)
-            ra = rank(lift(ta), order)
-            rb = rank(lift(tb), order)
-            report.append((str(ta), str(tb), w1, large.entry(ra, rb)))
-    return report

@@ -156,7 +156,8 @@ def test_c03_trace_det(spectra_suite):
         got = sign_log_det(eigenvalues_symmetric(dense))
         assert got.close_to(want, rel_tol=1e-6), (k, want, got)
         dd = math.prod(power.orbit_sizes)
-        assert Fraction(exact_determinant(power.core), dd) == det_a ** math.comb(4 + k - 1, 4)
+        core = [[power.core_entry(i, j) for j in range(power.dim)] for i in range(power.dim)]
+        assert Fraction(exact_determinant(core), dd) == det_a ** math.comb(4 + k - 1, 4)
 
 
 @criterion("C04", "kernel equivalence: exact core agreement on all graphs n<=4, k<=4 + 25 rational")
@@ -238,6 +239,8 @@ def test_c10_permutations():
 
 @criterion("C11", "performance gate at n=8, k=5 (N=792): permanent kernel >=5x faster, both <60s")
 def test_c11_performance():
+    import numpy as np
+
     rng = random.Random(11)
     weights = {}
     for u in range(1, 9):
@@ -255,7 +258,9 @@ def test_c11_performance():
     slow = sym_power(g, 5, method="orbit")
     t_slow = time.perf_counter() - t0
 
-    assert fast.core == slow.core
+    assert fast.path == slow.path == "int64"
+    assert np.array_equal(fast.core, slow.core)
+    assert fast.denominator == slow.denominator == 1
     assert t_fast < 60.0, f"permanent kernel took {t_fast:.1f}s"
     assert t_slow < 60.0, f"orbit kernel took {t_slow:.1f}s"
     assert t_slow >= 5.0 * t_fast, f"speedup only {t_slow / t_fast:.1f}x"

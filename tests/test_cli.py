@@ -159,6 +159,15 @@ def test_missing_file_exit_code(capsys):
     assert err
 
 
+def test_orbit_past_the_ordered_table_cap_exit_code(tmp_path, capsys):
+    source = tmp_path / "in.txt"
+    source.write_text("2\n1 2 1\n")
+    code, out, err = run_cli(capsys, ["power", "-k", "21", "--method", "orbit", str(source)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "ordered tuples" in err
+
+
 def test_size_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYMTENSOR_MAX_N", "5")
     source = tmp_path / "in.txt"

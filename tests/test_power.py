@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from symgraph.combinatorics import VertexMultiset, enumerate_multisets, rank
+from symgraph.combinatorics import VertexMultiset, enumerate_multisets, orbit_size, rank
 from symgraph.exact import ExactWeight
 from symgraph.graphs import WeightedGraph, complete, complete_loops, path, scepter, star
 from symgraph.power import (
@@ -22,7 +22,6 @@ from symgraph.power import (
     sym_power,
     sym_power_graph,
     sym_power_permutation,
-    weight_nesting_report,
 )
 
 ONE = ExactWeight.of(1)
@@ -247,16 +246,17 @@ def test_kernels_agree_on_random_rational_graphs():
         g = WeightedGraph(n, weights)
         a = sym_power(g, k, method="orbit")
         b = sym_power(g, k, method="permanent")
-        assert a.core == b.core
+        assert a.path == b.path == "int64"
+        assert a.core.dtype == b.core.dtype
+        assert np.array_equal(a.core, b.core)
+        assert a.denominator == b.denominator
         assert a.orbit_sizes == b.orbit_sizes
 
 
 def test_python_fallback_matches_int64_paths():
-    from symgraph.power import (
-        _core_linear_forms,
-        _core_orbit_numpy,
-        _core_orbit_python,
-    )
+    # both kernels on both integer dtypes, entry by entry against the public
+    # defining double sum
+    from symgraph.power import _core_linear_forms, _core_orbit_numpy
 
     rng = random.Random(13)
     for _ in range(6):
@@ -268,12 +268,19 @@ def test_python_fallback_matches_int64_paths():
                 w = rng.randint(-2, 3)
                 rows[u][v] = w
                 rows[v][u] = w
-        a64 = np.array(rows, dtype=np.int64)
-        reference = _core_orbit_python(rows, n, k, "paper")
-        assert _core_orbit_numpy(a64, n, k, "paper").tolist() == reference
-        assert _core_linear_forms(a64, n, k, "paper").tolist() == reference
-        a_obj = np.array(rows, dtype=object)
-        assert _core_linear_forms(a_obj, n, k, "paper").tolist() == reference
+        cores = []
+        for dtype in (np.int64, object):
+            for kernel in (_core_orbit_numpy, _core_linear_forms):
+                core = kernel(np.array(rows, dtype=dtype), n, k, "paper")
+                assert core.dtype == dtype
+                cores.append(core)
+        msets = enumerate_multisets(n, k)
+        for x, tx in enumerate(msets):
+            for y, ty in enumerate(msets):
+                want = entry_orbit_sum(rows, tx, ty)
+                d = orbit_size(tx.multiplicity()) * orbit_size(ty.multiplicity())
+                for core in cores:
+                    assert ExactWeight.make(Fraction(core.item(x, y), d), d) == want
 
 
 def test_float_mode_close_to_exact():
@@ -317,14 +324,17 @@ def test_orders_describe_same_matrix():
 
 
 def test_huge_weights_use_python_exact_fallback():
-    # (4!)^2 * (1e9)^4 blows the int64 bound, forcing the pure-Python path
+    # (4!)^2 * (1e9)^4 blows the int64 bound, forcing Python ints in both kernels
     big = 10**9
     g = WeightedGraph(2, {(1, 1): big, (1, 2): big + 1})
     a = sym_power(g, 4, method="orbit")
     b = sym_power(g, 4, method="permanent")
-    assert a.exact and isinstance(a.core, list)
-    assert a.core == b.core
-    assert a.core[0][1] == (big + 1) ** 4  # constant tuples: plain 4th power
+    assert a.exact and a.path == b.path == "object"
+    assert a.core.dtype == b.core.dtype == object
+    assert np.array_equal(a.core, b.core)
+    assert a.denominator == b.denominator == 1
+    assert a.core_entry(0, 1) == (big + 1) ** 4  # constant tuples: plain 4th power
+    assert type(a.core_entry(0, 1)) is int
 
 
 def _largest_int64_row_sum(k, d_max):
@@ -348,9 +358,12 @@ def test_int64_object_switch_at_the_bound(over, path):
     assert max(fast.orbit_sizes) == d_max
     assert (d_max * r**k < 2**62) == (path == "int64")
     assert fast.path == path
-    assert reference.path == "python"
-    assert fast.core == reference.core
-    assert fast.core[0][0] == (r - 5) ** 3
+    assert reference.path == "object"
+    if path == "object":
+        assert fast.core.dtype == reference.core.dtype
+    assert np.array_equal(fast.core, reference.core)
+    assert fast.denominator == reference.denominator == 1
+    assert fast.core_entry(0, 0) == (r - 5) ** 3
 
 
 @pytest.mark.parametrize("k, path", [(5, "int64"), (6, "object"), (7, "int64"), (8, "object")])
@@ -399,9 +412,35 @@ def test_size_budget():
         sym_power(complete(10), 6, max_dim=100)
 
 
-def test_permanent_cap_in_power():
-    with pytest.raises(PermanentCapError):
-        sym_power(WeightedGraph(1, {(1, 1): 1}), 25, method="permanent", permanent_cap=20)
+def test_orbit_refuses_past_the_ordered_table_cap():
+    # n^k = 2^21 ordered tuples is past the cap although N = 22 is tiny
+    with pytest.raises(SizeBudgetError, match="ordered tuples"):
+        sym_power(path(2), 21, method="orbit")
+    assert sym_power(path(2), 21).dim == 22
+
+
+def test_power_beyond_the_ryser_cap_is_the_all_ones_closed_form():
+    # k = 25 is past Ryser's cap of 20; the linear-form core has no such cap
+    power = sym_power(complete_loops(2), 25)
+    for i in range(power.dim):
+        for j in range(power.dim):
+            d = power.orbit_sizes[i] * power.orbit_sizes[j]
+            assert power.entry_exact(i, j) == ExactWeight.sqrt(d)
+
+
+@pytest.mark.parametrize("big, path", [(1, "int64"), (10**9, "object")])
+def test_to_dense_divides_the_core_exactly(big, path):
+    # L^3 and the largest core entries pass 2^53, where dividing in float64
+    # would round twice
+    g = WeightedGraph(3, {(1, 1): Fraction(big, 457), (1, 2): Fraction(-big - 1, 461), (2, 3): 1})
+    power = sym_power(g, 3)
+    assert power.path == path and power.denominator == (457 * 461) ** 3 > 2**53
+    assert max(abs(x) for x in power.core.flat) > 2**53
+    dense = power.to_dense()
+    for i in range(power.dim):
+        for j in range(power.dim):
+            d = power.orbit_sizes[i] * power.orbit_sizes[j]
+            assert dense[i, j] == float(power.core_entry(i, j)) / math.sqrt(d)
 
 
 def test_bad_arguments():
@@ -602,11 +641,3 @@ def test_nesting_path_edge_alternation():
                 ra = rank(edge_injection(VertexMultiset(small.tuples[a], 3), 1, 2, 1))
                 rb = rank(edge_injection(VertexMultiset(small.tuples[b], 3), 2, 1, 1))
                 assert big.core_entry(ra, rb)
-
-
-def test_weight_nesting_report_runs():
-    rows = weight_nesting_report(scepter(), 2, 3)
-    assert rows and all(len(row) == 4 for row in rows)
-    assert all(w1 > 0 for _, _, w1, _ in rows)
-    with pytest.raises(ValueError):
-        weight_nesting_report(path(3), 2, 3)  # no loop and odd gap

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from symgraph.cli import main
 from symgraph.graphs import WeightedGraph, adjacency_matrix, path, scepter
 from symgraph.power import sym_power
 from symgraph.spectra import (
@@ -155,7 +156,8 @@ def test_det_exact_oracle_random():
         g = WeightedGraph(n, weights)
         power = sym_power(g, k)
         dd = math.prod(power.orbit_sizes)
-        det_power = Fraction(exact_determinant(power.core), dd)
+        core = [[power.core_entry(i, j) for j in range(power.dim)] for i in range(power.dim)]
+        det_power = Fraction(exact_determinant(core), dd)
         det_base = exact_determinant(g.weight_rows())
         assert det_power == det_base ** math.comb(n + k - 1, n)
 
@@ -188,5 +190,19 @@ def test_spectrum_sorted_and_validated():
         Spectrum([1.0], tol=-1)
 
 
-def test_jacobi_error_is_loud():
+def test_eigensolver_failure_is_loud(tmp_path, capsys, monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(JacobiConvergenceError) as exc:
+        eigenvalues_symmetric([[1.0, 1.0], [1.0, 0.0]])
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
     assert issubclass(JacobiConvergenceError, RuntimeError)
+
+    source = tmp_path / "in.txt"
+    source.write_text("2\n1 1 1\n1 2 1\n")
+    assert main(["spectrum", str(source)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "converge" in err
