@@ -1,9 +1,11 @@
 """Graph invariants of powers and their closed-form predictors.
 
-The measured side lives here: connected components (union-find), loop and
-edge counts, degrees, and the Wiener index via per-source BFS on the
-unweighted support.  The predicting side is a catalog of closed forms for
-the named families, each addressable through :func:`predict`.
+The measured side lives here: connected components, loop and edge counts,
+degrees, and the Wiener index via per-source BFS on the unweighted support.
+Components, degrees and the counts of :func:`support_stats` run on arrays of
+the pairs (u, v), so a graph file's stats need no :class:`WeightedGraph`.
+The predicting side is a catalog of closed forms for the named families,
+each addressable through :func:`predict`.
 
 Conventions, chosen once and used everywhere:
 
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .combinatorics import VertexMultiset, multiset_count, orbit_size
 from .exact import ExactWeight
 from .graphs import WeightedGraph, cycle
@@ -40,41 +44,79 @@ class ComponentStructure:
         return self.assignment[v - 1]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def support_arrays(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ends (u <= v) of the graph's weighted pairs, sorted, as int64."""
+    pairs = np.array([(u, v) for u, v, _ in graph.edges()], dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Root of each of the vertices 0..n under the pairs (u, v).
+
+    A union-find run as whole-array rounds (Shiloach and Vishkin's scheme).
+    Each round hooks every root under a smaller neighbouring root; a root that
+    neither hooked nor got hooked onto then hooks under the new parent of a
+    neighbouring root, which cannot close a cycle because no root hooked onto
+    it.  Pointer jumping then makes every parent a root.  Every tree with an
+    edge to another tree merges with one each round, so such trees at least
+    halve: at most ceil(log2(n)) rounds hook, whatever the diameter.
+    """
+    parent = np.arange(n + 1)
+    between = u != v
+    u, v = u[between], v[between]
+    while True:
+        ru, rv = parent[u], parent[v]
+        between = ru != rv
+        if not between.any():
+            return parent
+        u, v, ru, rv = u[between], v[between], ru[between], rv[between]
+        lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+        parent[hi] = lo
+        hooked_onto = np.zeros(n + 1, dtype=bool)
+        hooked_onto[parent[hi]] = True
+        stagnant = (parent[lo] == lo) & ~hooked_onto[lo]
+        parent[lo[stagnant]] = parent[hi[stagnant]]
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+
+def _component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component id of each vertex 1..n, numbered from 0 by smallest vertex."""
+    roots = _component_roots(n, u, v)[1:]
+    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
+
+def _degrees(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Degree of each vertex 1..n: a pair counts once at each end, a loop once."""
+    return np.bincount(np.concatenate([u, v[u != v]]), minlength=n + 1)[1:]
+
+
+def support_stats(n: int, u: np.ndarray, v: np.ndarray) -> dict[str, object]:
+    """n, edge, loop and component counts and the degrees, in that key order,
+    of an n-vertex graph whose weighted pairs are the distinct (u, v), u <= v."""
+    return {
+        "n": n,
+        "edges": len(u),
+        "loops": int(np.count_nonzero(u == v)),
+        "components": int(_component_ids(n, u, v).max()) + 1,
+        "degrees": _degrees(n, u, v).tolist(),
+    }
 
 
 def components(graph: WeightedGraph) -> ComponentStructure:
     """Connected components of the unweighted support; loops are ignored."""
-    uf = _UnionFind(graph.n)
-    for u, v, _ in graph.edges():
-        if u != v:
-            uf.union(u - 1, v - 1)
-    ids: dict[int, int] = {}
-    assignment = []
-    for v in range(graph.n):
-        root = uf.find(v)
-        if root not in ids:
-            ids[root] = len(ids)  # ids contiguous, ordered by smallest vertex
-        assignment.append(ids[root])
-    members: list[list[int]] = [[] for _ in range(len(ids))]
-    for v, c in enumerate(assignment, start=1):
-        members[c].append(v)
-    return ComponentStructure(len(ids), tuple(assignment), tuple(map(tuple, members)))
+    ids = _component_ids(graph.n, *support_arrays(graph))
+    sizes = np.bincount(ids)
+    by_component = (np.argsort(ids, kind="stable") + 1).tolist()
+    bounds = np.cumsum(sizes).tolist()
+    members = tuple(tuple(by_component[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
+    return ComponentStructure(len(sizes), tuple(ids.tolist()), members)
 
 
 def count_loops(graph: WeightedGraph) -> int:
@@ -96,11 +138,7 @@ def degree(graph: WeightedGraph, v: int) -> int:
 
 def degree_sequence(graph: WeightedGraph) -> list[int]:
     """Degrees of all vertices in one pass (same convention as degree)."""
-    neighbors: list[set[int]] = [set() for _ in range(graph.n + 1)]
-    for u, v, _ in graph.edges():
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    return [len(neighbors[v]) for v in range(1, graph.n + 1)]
+    return _degrees(graph.n, *support_arrays(graph)).tolist()
 
 
 def edge_count(graph: WeightedGraph) -> int:

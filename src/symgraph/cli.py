@@ -15,8 +15,11 @@ import sys
 from .combinatorics import CountLimitError
 from .fileio import (
     GraphFormatError,
+    parse_edges,
     parse_graph,
     write_dot,
+    write_edge_stats_json,
+    write_edges,
     write_graph,
     write_stats_json,
 )
@@ -57,15 +60,11 @@ def _cmd_power(args: argparse.Namespace) -> int:
     if args.exact:
         if not power.exact:
             raise ValueError("--exact requires a graph with rational weights")
-        lines = [str(power.dim)]
-        for i in range(power.dim):
-            for j in range(i, power.dim):
-                w = power.entry_exact(i, j)
-                if w:
-                    lines.append(f"{i + 1} {j + 1} {w}")
-        _write_output("\n".join(lines) + "\n", args.output)
+        rows, cols = power.upper_support()
+        weights = list(map(power.entry_exact, rows.tolist(), cols.tolist()))
     else:
-        _write_output(write_graph(power.to_graph()), args.output)
+        rows, cols, weights = power.upper_edges()
+    _write_output(write_edges(power.dim, rows + 1, cols + 1, weights), args.output)
     return 0
 
 
@@ -77,8 +76,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.input)
-    sys.stdout.write(write_stats_json(graph, wiener=args.wiener, spectrum=args.spectrum))
+    text = _read_input(args.input)
+    if args.wiener or args.spectrum:
+        graph = parse_graph(text)
+        sys.stdout.write(write_stats_json(graph, wiener=args.wiener, spectrum=args.spectrum))
+    else:
+        n, u, v, _ = parse_edges(text)
+        sys.stdout.write(write_edge_stats_json(n, u, v))
     return 0
 
 
@@ -102,7 +106,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for failure in result.failures:
             print(failure.line())
         status = "ok" if result.ok else "FAILED"
-        print(f"{status} {result.name}: {result.checks} checks, {len(result.failures)} failures")
+        print(
+            f"{status} {result.name}: {result.checks} checks, "
+            f"{len(result.failures)} failures, {result.seconds:.2f} s"
+        )
         failed = failed or not result.ok
     return 1 if failed else 0
 

@@ -405,29 +405,46 @@ class SymPowerMatrix:
         d = self.orbit_sizes[i] * self.orbit_sizes[j]
         return ExactWeight.make(Fraction(self.core.item(i, j), self.denominator * d), d)
 
+    def _float_core(self, core: np.ndarray) -> np.ndarray:
+        """Core entries as float64 S values, dividing by ``denominator`` exactly."""
+        if self.denominator == 1:
+            return core.astype(np.float64)
+        # Python int division rounds once; float64 division would round
+        # the numerator or L^k first once either passes 2^53
+        return (core.astype(object) / self.denominator).astype(np.float64)
+
     def to_dense(self) -> np.ndarray:
         """Materialize the float matrix E = S / sqrt(D outer D)."""
         d = np.array(self.orbit_sizes, dtype=np.float64)
-        if self.denominator == 1:
-            s = self.core.astype(np.float64)
-        else:
-            # Python int division rounds once; float64 division would round
-            # the numerator or L^k first once either passes 2^53
-            s = (self.core.astype(object) / self.denominator).astype(np.float64)
-        return s / np.sqrt(np.outer(d, d))
+        return self._float_core(self.core) / np.sqrt(np.outer(d, d))
+
+    def upper_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (rows, cols) of the nonzero core entries with row <= col,
+        sorted by (row, col)."""
+        return np.nonzero(np.triu(self.core))
+
+    def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero pairs of the float matrix with row <= col and their weights.
+
+        Rows and cols are 0-based and sorted by (row, col), the order of
+        ``WeightedGraph.edges()``; the float64 weights are bit-equal to
+        ``to_dense()[rows, cols]`` without building the N x N float matrix.
+        A pair whose float weight underflows to 0.0 is left out, as
+        ``to_dense`` reads it as no edge.
+        """
+        rows, cols = self.upper_support()
+        d = np.array(self.orbit_sizes, dtype=np.float64)
+        weights = self._float_core(self.core[rows, cols]) / np.sqrt(d[rows] * d[cols])
+        keep = weights != 0.0
+        return rows[keep], cols[keep], weights[keep]
 
     def vertex_labels(self) -> tuple[str, ...]:
         return tuple(",".join(map(str, t)) for t in self.tuples)
 
     def to_graph(self) -> WeightedGraph:
-        dense = self.to_dense()
-        weights = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                w = dense[i, j]
-                if w != 0.0:
-                    weights[(i + 1, j + 1)] = float(w)
-        return WeightedGraph(self.dim, weights, self.vertex_labels())
+        rows, cols, weights = self.upper_edges()
+        edges = zip((rows + 1).tolist(), (cols + 1).tolist(), weights.tolist())
+        return WeightedGraph(self.dim, edges, self.vertex_labels())
 
 
 def sym_power(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -93,6 +94,7 @@ class SuiteResult:
     checks: int = 0
     failures: list[Failure] = field(default_factory=list)
     report: list[str] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the suite, set by run_suites
 
     @property
     def ok(self) -> bool:
@@ -725,5 +727,8 @@ def run_suites(
             kwargs["kmax"] = kmax
         if seed is not None:
             kwargs["seed"] = seed
-        results.append(_SUITE_FUNCS[name](**kwargs))
+        start = time.perf_counter()
+        result = _SUITE_FUNCS[name](**kwargs)
+        result.seconds = time.perf_counter() - start
+        results.append(result)
     return results

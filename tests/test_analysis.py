@@ -85,6 +85,55 @@ def test_component_ids_contiguous():
     assert sorted(set(structure.assignment)) == list(range(4))
 
 
+def test_components_of_a_long_path():
+    structure = components(path(5000))
+    assert structure.count == 1
+    assert structure.members == (tuple(range(1, 5001)),)
+
+
+def test_isolated_and_loop_only_vertices_are_their_own_components():
+    g = WeightedGraph(7, {(2, 2): 1, (3, 5): 1, (5, 6): 2, (6, 6): 1})
+    structure = components(g)
+    assert structure.count == 5
+    assert structure.assignment == (0, 1, 2, 3, 2, 2, 4)
+    assert structure.members == ((1,), (2,), (3, 5, 6), (4,), (7,))
+
+
+def _bfs_components(graph):
+    """(count, assignment, members) by breadth-first search, ids by smallest vertex."""
+    adj = {v: set() for v in range(1, graph.n + 1)}
+    for u, v, _ in graph.edges():
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    assignment = [None] * graph.n
+    members = []
+    for start in range(1, graph.n + 1):
+        if assignment[start - 1] is not None:
+            continue
+        cid = len(members)
+        seen = [start]
+        assignment[start - 1] = cid
+        for x in seen:
+            for y in sorted(adj[x]):
+                if assignment[y - 1] is None:
+                    assignment[y - 1] = cid
+                    seen.append(y)
+        members.append(tuple(sorted(seen)))
+    return len(members), tuple(assignment), tuple(members)
+
+
+def test_components_match_bfs_on_random_graphs():
+    rng = random.Random(20231)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.02, 0.05, 0.1, 0.3))
+        weights = {(u, v): 1 for u in range(1, n + 1) for v in range(u, n + 1) if rng.random() < p}
+        g = WeightedGraph(n, weights)
+        structure = components(g)
+        assert (structure.count, structure.assignment, structure.members) == _bfs_components(g)
+
+
 def test_count_loops():
     assert count_loops(path(4)) == 0
     assert count_loops(complete_loops(3)) == 3

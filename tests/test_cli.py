@@ -1,11 +1,16 @@
 import json
 import math
+import re
+from fractions import Fraction
 
 import pytest
 
+import symgraph.cli
 from symgraph.cli import main
-from symgraph.fileio import parse_graph
-from symgraph.graphs import path
+from symgraph.fileio import parse_graph, write_stats_json
+from symgraph.graphs import WeightedGraph, path
+from symgraph.power import SymPowerMatrix, sym_power
+from symgraph.verify import run_suites
 
 
 def run_cli(capsys, args, stdin=None, monkeypatch=None):
@@ -233,3 +238,74 @@ def test_spectrum_of_piped_power_matches_products(capsys, monkeypatch):
     base = [-math.sqrt(2), 0.0, math.sqrt(2)]
     want = sorted(x * y for i, x in enumerate(base) for y in base[i:])
     assert got == pytest.approx(want, abs=1e-8)
+
+
+# -- power output bytes --------------------------------------------------------
+
+RATIONAL = WeightedGraph(4, {(1, 1): Fraction(1, 3), (1, 2): Fraction(-2, 5), (2, 3): 1, (3, 4): Fraction(7, 2)})
+SIGNED_TEXT = "5\n1 1 2\n1 2 -1\n2 3 3\n3 3 -2\n4 5 1\n"
+FLOAT_TEXT = "4\n1 2 0.3\n2 2 -1.7\n2 3 2.5e-3\n3 4 1e16\n"
+
+
+def _rendered(power, weight):
+    """The power file built entry by entry over all pairs with row <= col."""
+    lines = [str(power.dim)]
+    for i in range(power.dim):
+        for j in range(i, power.dim):
+            w = weight(power, i, j)
+            if w:
+                lines.append(f"{i + 1} {j + 1} {w!r}" if isinstance(w, float) else f"{i + 1} {j + 1} {w}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["rational", "signed", "float"])
+def test_power_output_bytes_match_entries(capsys, monkeypatch, source):
+    if source == "rational":
+        graph = RATIONAL  # no graph file holds a Fraction: hand the graph to the command
+        monkeypatch.setattr(symgraph.cli, "_load_graph", lambda path: graph)
+        stdin = None
+    else:
+        stdin = SIGNED_TEXT if source == "signed" else FLOAT_TEXT
+        graph = parse_graph(stdin)
+    power = sym_power(graph, 3)
+    assert (power.denominator > 1) == (source == "rational")
+    code, out, _ = run_cli(capsys, ["power", "-k", "3"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == _rendered(power, lambda p, i, j: p.entry(i, j))
+    if power.exact:
+        calls = []
+        entry_exact = SymPowerMatrix.entry_exact
+        monkeypatch.setattr(SymPowerMatrix, "entry_exact", lambda *args: calls.append(1) or entry_exact(*args))
+        code, out, _ = run_cli(capsys, ["power", "-k", "3", "--exact"], stdin=stdin, monkeypatch=monkeypatch)
+        monkeypatch.setattr(SymPowerMatrix, "entry_exact", entry_exact)
+        assert code == 0
+        assert out == _rendered(power, lambda p, i, j: p.entry_exact(i, j))
+        assert len(calls) == out.count("\n") - 1 > 0  # one token per nonzero pair, none for zeros
+
+
+def test_stats_on_a_power_builds_no_weighted_graph(capsys, monkeypatch):
+    _, power_text, _ = run_cli(capsys, ["power", "-k", "3"], stdin="5\n1 2\n2 3\n3 4\n4 5\n1 1\n",
+                               monkeypatch=monkeypatch)
+    built = []
+    init = WeightedGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
+    code, out, _ = run_cli(capsys, ["stats"], stdin=power_text, monkeypatch=monkeypatch)
+    assert code == 0
+    assert len(built) == 0
+    assert out == write_stats_json(parse_graph(power_text))
+    assert len(built) == 1  # the reference above parsed one graph
+
+
+def test_verify_status_line_reports_seconds(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "permutation", "--nmax", "3", "--kmax", "2"])
+    assert code == 0
+    match = re.fullmatch(r"ok permutation: (\d+) checks, 0 failures, (\d+\.\d\d) s", out.splitlines()[-1])
+    assert match is not None
+    [result] = run_suites(["permutation"], nmax=3, kmax=2)
+    assert int(match.group(1)) == result.checks
+    assert float(match.group(2)) >= 0 and result.seconds > 0

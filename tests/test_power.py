@@ -283,6 +283,30 @@ def test_python_fallback_matches_int64_paths():
                     assert ExactWeight.make(Fraction(core.item(x, y), d), d) == want
 
 
+def test_functoriality_of_the_linear_form_core():
+    # Sym^k(AB) = Sym^k(A) Sym^k(B) (Bhatia, Matrix Analysis, I.5); with
+    # S = diag(D) C in factored form this is S_AB = S_A (S_B / D) exactly.
+    # The matrices are not symmetric: the kernel takes them as they are.
+    from symgraph.power import _core_linear_forms, _index_data
+
+    rng = random.Random(2309)
+    cases = 0
+    for n in range(1, 5):
+        for k in range(1, 5):
+            for _ in range(3):
+                a = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], dtype=object)
+                b = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], dtype=object)
+                d = np.array(_index_data(n, k, "paper")[1], dtype=object)
+                s_a = _core_linear_forms(a, n, k, "paper")
+                s_b = _core_linear_forms(b, n, k, "paper")
+                s_ab = _core_linear_forms(a.dot(b), n, k, "paper")
+                assert s_ab.dtype == object
+                assert not (s_b % d[:, None]).any()  # row i of S_B is D_i times integers
+                assert (s_ab == s_a.dot(s_b // d[:, None])).all()
+                cases += 1
+    assert cases == 48
+
+
 def test_float_mode_close_to_exact():
     g = scepter()
     exact = sym_power(g, 3).to_dense()
