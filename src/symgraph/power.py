@@ -74,6 +74,9 @@ _INT64_SAFE = 2**62
 # small enough to stay in cache, which measured faster than whole levels
 _BLOCK_ELEMS = 1 << 14
 
+# core entries scanned at a time for the nonzero upper-triangle pairs
+_SUPPORT_BLOCK = 1 << 18
+
 
 class SizeBudgetError(ValueError):
     """The requested power dimension exceeds the configured budget."""
@@ -420,8 +423,19 @@ class SymPowerMatrix:
 
     def upper_support(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based (rows, cols) of the nonzero core entries with row <= col,
-        sorted by (row, col)."""
-        return np.nonzero(np.triu(self.core))
+        sorted by (row, col).
+
+        The core is scanned a block of rows at a time, from the diagonal
+        on, so no temporary grows with the N x N core.
+        """
+        rows, cols = [], []
+        step = max(1, _SUPPORT_BLOCK // self.dim)
+        for lo in range(0, self.dim, step):
+            r, c = np.nonzero(self.core[lo : lo + step, lo:])
+            upper = c >= r
+            rows.append(r[upper] + lo)
+            cols.append(c[upper] + lo)
+        return np.concatenate(rows), np.concatenate(cols)
 
     def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero pairs of the float matrix with row <= col and their weights.

@@ -87,6 +87,18 @@ def test_parse_edges_keeps_file_order_and_drops_zero_weights():
     assert huge.dtype == object and huge.tolist() == [10**30]
 
 
+def test_parse_dtypes_when_a_label_or_a_weight_passes_int64():
+    # a label past int64 makes both label arrays objects and leaves the
+    # weights alone, and a weight past int64 leaves the labels alone
+    big = 10**20
+    _, u, v, w = parse_edges(f"{10**23}\n{big} 1\n")
+    assert (u.dtype, v.dtype, w.dtype) == (object, object, np.int64)
+    assert (u.tolist(), v.tolist(), w.tolist()) == ([1], [big], [1])
+    _, u, v, w = parse_edges(f"3\n1 2 {big}\n2 3\n")
+    assert (u.dtype, v.dtype, w.dtype) == (np.int64, np.int64, object)
+    assert w.tolist() == [big, 1]
+
+
 def _reference_parse(text):
     """The format read one line at a time, checks in the format's order: an
     independent reading of the rules.  Returns ("error", line, message part)
@@ -183,6 +195,95 @@ def test_parse_matches_a_line_by_line_reading_in_any_block_size(monkeypatch, blo
         newline = rng.choice(["\n", "\r\n"])
         text = newline.join(lines) + rng.choice(["", newline])
         assert _agrees(_parsed(text), _reference_parse(text)), text
+
+
+# every line break str.splitlines() knows, and whitespace that is not one
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+WIDE_LINES = ["\u0661 \u0662", "\u0662 \u0663 \u0661\u0660", "1 3 " + "1" * 18, "2 2 " + "9" * 19,
+              "1 4 -" + "9" * 19, "3 3 " + "0" * 4999 + "7", "4 1 " + "1" * 5000, "1 1 " + "1" * 19]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+def test_parse_matches_a_line_by_line_reading_with_any_separator(monkeypatch, block):
+    # line breaks besides "\n", whitespace past ASCII, non-ASCII digits and
+    # int tokens of 18, 19 and 5,000 digits
+    from symgraph import fileio
+
+    if block is not None:
+        monkeypatch.setattr(fileio, "_BLOCK_CHARS", block)
+    rng = random.Random(4099)
+    for _ in range(300):
+        lines = [rng.choice(NOISE) for _ in range(rng.randint(0, 2))] + ["4 # vertices"]
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            if roll < 0.55:
+                lines.append(rng.choice(GOOD_LINES))
+            elif roll < 0.75:
+                lines.append(rng.choice(WIDE_LINES))
+            elif roll < 0.9:
+                lines.append(rng.choice(NOISE))
+            else:
+                lines.append(rng.choice(BAD_LINES))
+        lines = [line.replace(" ", rng.choice(SPACES)) for line in lines]
+        text = "".join(line + rng.choice(SEPARATORS) for line in lines)
+        if rng.random() < 0.3:
+            text = text[:-1]
+        assert _agrees(_parsed(text), _reference_parse(text)), repr(text)
+
+
+def test_parse_rejects_a_leading_byte_order_mark():
+    # U+FEFF is not whitespace: it is part of the first token
+    cases = {
+        "\ufeff3\n1 2\n": "line 1: bad vertex count '\\ufeff3'",
+        "\ufeff\n3\n1 2\n": "line 1: bad vertex count '\\ufeff'",
+        "\ufeff 3\n1 2\n": "line 1: expected the vertex count alone on the first line",
+    }
+    for text, message in cases.items():
+        with pytest.raises(GraphFormatError) as exc:
+            parse_edges(text)
+        assert str(exc.value) == message
+
+
+def test_parse_whitespace_and_line_breaks_are_those_of_str():
+    from symgraph import fileio
+
+    spaces = {c for c in range(0x110000) if chr(c).isspace()}
+    breaks = {c for c in spaces if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert set(fileio._BREAKS) == breaks
+    assert set(fileio._SPACES) == spaces - breaks
+
+
+def test_parse_keeps_values_when_every_token_hash_collides(monkeypatch):
+    # with one hash for every token, only the byte check keeps tokens apart
+    from symgraph import fileio
+
+    text = "5\n1 2 0.5\n2 3 0.25\n3 4 0.5\n4 5 -3\n5 5 1e2\n1 1 +7\n1 3 0.25\n2 2 -3\n"
+    want = _parsed(text)
+    monkeypatch.setattr(fileio, "_HASH_MIX", np.zeros_like(fileio._HASH_MIX))
+    assert _parsed(text) == want
+    assert want == ("ok", 5, [(1, 2, 0.5), (2, 3, 0.25), (3, 4, 0.5), (4, 5, -3), (5, 5, 100.0),
+                              (1, 1, 7), (1, 3, 0.25), (2, 2, -3)])
+
+
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_power_file_round_trips_in_any_block_size(monkeypatch, size):
+    from symgraph import fileio
+    from symgraph.graphs import complete_loops
+    from symgraph.power import sym_power
+
+    if size is not None:
+        monkeypatch.setattr(fileio, "_BLOCK_CHARS", size)
+        monkeypatch.setattr(fileio, "_WRITE_LINES", size)
+    power = sym_power(complete_loops(6), 4)
+    rows, cols, weights = power.upper_edges()
+    text = write_edges(power.dim, rows + 1, cols + 1, weights)
+    lines = zip((rows + 1).tolist(), (cols + 1).tolist(), weights.tolist())
+    assert text == f"{power.dim}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in lines)
+    n, u, v, w = parse_edges(text)
+    assert n == power.dim
+    assert np.array_equal(u, rows + 1) and np.array_equal(v, cols + 1)
+    assert w.dtype == np.float64 and np.array_equal(w.view(np.int64), weights.view(np.int64))
 
 
 def test_parse_line_four_fails_before_line_five_fails_differently():

@@ -361,6 +361,30 @@ def test_huge_weights_use_python_exact_fallback():
     assert type(a.core_entry(0, 1)) is int
 
 
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_upper_support_scans_row_blocks_in_order(monkeypatch, block):
+    # int64, object and float64 cores, with zeros on and off the diagonal
+    import symgraph.power
+
+    if block is not None:
+        monkeypatch.setattr(symgraph.power, "_SUPPORT_BLOCK", block)
+    rng = random.Random(61)
+    graphs = [path(4), star(3), WeightedGraph(2, {(1, 1): 10**9, (1, 2): 10**9 + 1})]
+    for _ in range(6):
+        n = rng.randint(1, 5)
+        weights = {(u, v): rng.choice([-2, -1, 1, 2, 0.5]) for u in range(1, n + 1)
+                   for v in range(u, n + 1) if rng.random() < 0.4}
+        graphs.append(WeightedGraph(n, weights))
+    paths = set()
+    for g in graphs:
+        power = sym_power(g, 3)
+        paths.add(power.path)
+        rows, cols = power.upper_support()
+        want = np.nonzero(np.triu(power.core))
+        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+    assert paths == {"int64", "object", "float64"}
+
+
 def _largest_int64_row_sum(k, d_max):
     r = round((2**62 / d_max) ** (1 / k))
     while d_max * r**k >= 2**62:
