@@ -2,8 +2,9 @@
 
 The measured side lives here: connected components, loop and edge counts,
 degrees, and the Wiener index via per-source BFS on the unweighted support.
-Components, degrees and the counts of :func:`support_stats` run on arrays of
-the pairs (u, v), so a graph file's stats need no :class:`WeightedGraph`.
+Components, degrees and the counts of :func:`support_stats_blocks` run on
+blocks of the pairs (u, v) as they arrive, so a graph file's stats need no
+:class:`WeightedGraph` and no whole-file array.
 The predicting side is a catalog of closed forms for the named families,
 each addressable through :func:`predict`.
 
@@ -23,7 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,63 +51,79 @@ def support_arrays(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
-def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Root of each of the vertices 0..n under the pairs (u, v).
+def _roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The root of each vertex in ``x`` in the forest ``parent``; points
+    each of them straight at its root."""
+    root = parent[x]
+    while True:
+        up = parent[root]
+        if (up == root).all():
+            parent[x] = root
+            return root
+        root = up
 
-    A union-find run as whole-array rounds (Shiloach and Vishkin's scheme).
-    Each round hooks every root under a smaller neighbouring root; a root that
+
+def _merge(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Join the trees of the forest ``parent`` that the pairs (u, v) link.
+
+    Whole-array rounds on the pairs' roots (Shiloach and Vishkin's scheme):
+    each round hooks every root under a smaller neighbouring root; a root that
     neither hooked nor got hooked onto then hooks under the new parent of a
-    neighbouring root, which cannot close a cycle because no root hooked onto
-    it.  Pointer jumping then makes every parent a root.  Every tree with an
-    edge to another tree merges with one each round, so such trees at least
-    halve: at most ceil(log2(n)) rounds hook, whatever the diameter.
+    neighbouring root, which cannot close a cycle as no root hooked onto it.
+    Pointer jumping over those roots then makes each of their parents a root.
+    Trees with an edge to another tree at least halve each round: at most
+    ceil(log2(n)) rounds, whatever the diameter, on arrays the pairs' size.
     """
-    parent = np.arange(n + 1)
-    between = u != v
-    u, v = u[between], v[between]
+    touched = _roots(parent, np.concatenate((u, v)))
+    u, v = touched[: len(u)], touched[len(u) :]
+    hooked_onto = np.zeros(len(parent), dtype=bool)
     while True:
         ru, rv = parent[u], parent[v]
         between = ru != rv
         if not between.any():
-            return parent
+            return
         u, v, ru, rv = u[between], v[between], ru[between], rv[between]
         lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
         parent[hi] = lo
-        hooked_onto = np.zeros(n + 1, dtype=bool)
         hooked_onto[parent[hi]] = True
         stagnant = (parent[lo] == lo) & ~hooked_onto[lo]
+        hooked_onto[parent[hi]] = False
         parent[lo[stagnant]] = parent[hi[stagnant]]
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
+        _roots(parent, touched)
 
 
 def _component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Component id of each vertex 1..n, numbered from 0 by smallest vertex."""
-    roots = _component_roots(n, u, v)[1:]
-    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    parent = np.arange(n + 1)
+    _merge(parent, u, v)
+    _, first, inverse = np.unique(_roots(parent, np.arange(1, n + 1)), return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))
     return rank[inverse]
 
 
-def _degrees(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Degree of each vertex 1..n: a pair counts once at each end, a loop once."""
-    return np.bincount(np.concatenate([u, v[u != v]]), minlength=n + 1)[1:]
+def support_stats_blocks(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict[str, object]:
+    """n, edge, loop and component counts and the degrees, in that key order,
+    of an n-vertex graph whose weighted pairs are the distinct (u, v), u <= v,
+    given as blocks of (u, v) arrays and counted as the blocks arrive."""
+    parent = np.arange(n + 1, dtype=np.min_scalar_type(-n - 1))  # n+1 one-vertex trees
+    degrees = np.zeros(n + 1, dtype=np.int64)
+    edges = loops = 0
+    for u, v in blocks:
+        between = u != v
+        edges += len(u)
+        loops += len(u) - int(np.count_nonzero(between))
+        # a pair counts once at each end, a loop once
+        degrees += np.bincount(u, minlength=n + 1)
+        degrees += np.bincount(v[between], minlength=n + 1)
+        _merge(parent, u[between], v[between])
+    components = int(np.count_nonzero(parent[1:] == np.arange(1, n + 1)))
+    return {"n": n, "edges": edges, "loops": loops, "components": components, "degrees": degrees[1:].tolist()}
 
 
 def support_stats(n: int, u: np.ndarray, v: np.ndarray) -> dict[str, object]:
-    """n, edge, loop and component counts and the degrees, in that key order,
-    of an n-vertex graph whose weighted pairs are the distinct (u, v), u <= v."""
-    return {
-        "n": n,
-        "edges": len(u),
-        "loops": int(np.count_nonzero(u == v)),
-        "components": int(_component_ids(n, u, v).max()) + 1,
-        "degrees": _degrees(n, u, v).tolist(),
-    }
+    """:func:`support_stats_blocks` of the pairs (u, v) as one block."""
+    return support_stats_blocks(n, [(u, v)])
 
 
 def components(graph: WeightedGraph) -> ComponentStructure:
@@ -138,7 +155,7 @@ def degree(graph: WeightedGraph, v: int) -> int:
 
 def degree_sequence(graph: WeightedGraph) -> list[int]:
     """Degrees of all vertices in one pass (same convention as degree)."""
-    return _degrees(graph.n, *support_arrays(graph)).tolist()
+    return support_stats(graph.n, *support_arrays(graph))["degrees"]
 
 
 def edge_count(graph: WeightedGraph) -> int:

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from typing import Iterable
 
 from .combinatorics import CountLimitError
 from .fileio import (
     GraphFormatError,
-    parse_edges,
+    edge_text_blocks,
     parse_graph,
+    read_stats_json,
     write_dot,
-    write_edge_stats_json,
-    write_edges,
     write_graph,
     write_stats_json,
 )
@@ -29,42 +30,36 @@ from .spectra import JacobiConvergenceError, eigenvalues_symmetric
 from .verify import SUITES, run_suites
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _open_input(path: str):
+    return nullcontext(sys.stdin) if path == "-" else open(path, "r", encoding="utf-8")
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write_output(texts: Iterable[str], path: str | None) -> None:
+    """Write each text as soon as it is made."""
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(texts)
 
 
 def _load_graph(path: str) -> WeightedGraph:
-    return parse_graph(_read_input(path))
+    with _open_input(path) as handle:
+        return parse_graph(handle.read())
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
     graph = family(args.name, *args.params)
-    _write_output(write_graph(graph), args.output)
+    _write_output([write_graph(graph)], args.output)
     return 0
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
     graph = _load_graph(args.input)
     power = sym_power(graph, args.k, method=args.method, order=args.order)
+    if args.exact and not power.exact:
+        raise ValueError("--exact requires a graph with rational weights")
+    blocks = power.upper_blocks(edges=not args.exact)
     if args.exact:
-        if not power.exact:
-            raise ValueError("--exact requires a graph with rational weights")
-        rows, cols = power.upper_support()
-        weights = list(map(power.entry_exact, rows.tolist(), cols.tolist()))
-    else:
-        rows, cols, weights = power.upper_edges()
-    _write_output(write_edges(power.dim, rows + 1, cols + 1, weights), args.output)
+        blocks = ((rows, cols, list(map(power.entry_exact, rows.tolist(), cols.tolist()))) for rows, cols, _ in blocks)
+    _write_output(edge_text_blocks(power.dim, ((rows + 1, cols + 1, w) for rows, cols, w in blocks)), args.output)
     return 0
 
 
@@ -76,13 +71,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    text = _read_input(args.input)
     if args.wiener or args.spectrum:
-        graph = parse_graph(text)
+        graph = _load_graph(args.input)
         sys.stdout.write(write_stats_json(graph, wiener=args.wiener, spectrum=args.spectrum))
     else:
-        n, u, v, _ = parse_edges(text)
-        sys.stdout.write(write_edge_stats_json(n, u, v))
+        with _open_input(args.input) as handle:
+            sys.stdout.write(read_stats_json(handle))
     return 0
 
 

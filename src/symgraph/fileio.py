@@ -10,16 +10,13 @@ Graph file format (diff-friendly, 1-based to match the usual figure labels):
 A weight token that ``int()`` accepts is an int, any other finite decimal a
 float; the types decide whether a power runs exact or in float64.
 
-Edge lists travel as arrays, and both directions work on bytes with numpy
-a bounded block at a time, with no Python object per line or token.
-:func:`parse_edges` views each block of text as one code per character,
-finds the tokens and lines from masks of whitespace, line breaks and
-``#``, and converts each distinct token once: ``[+-]?digits`` by digit
-arithmetic, other tokens by ``int()`` or ``float()``.  :func:`write_edges`
-gathers each block's bytes from a table that holds every vertex label and
-every distinct weight text once.  :func:`parse_graph` and
-:func:`write_graph` are the same two steps for a :class:`WeightedGraph`,
-and ``symgraph stats`` counts straight on the arrays.
+Edge lists travel as arrays, a bounded block at a time in both directions,
+with no Python object per line or token.  The reader views each block of
+text as one code per character, finds tokens and lines from masks, and
+converts each distinct token once.  The writer gathers each block's bytes
+from a table that holds every vertex label and weight text once.
+:func:`parse_edges` and :func:`write_edges` join the blocks into whole
+arrays and text; ``symgraph power`` and ``stats`` stream them instead.
 
 Weights are written as the shortest decimal that round-trips the float, so
 parse(write(g)) reproduces g up to that formatting.  An optional exact mode
@@ -32,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -67,8 +65,8 @@ _CODE[[c for c in _BREAKS if c < 256 and c not in (0x0A, 0x0D)]] = _BREAK
 _WIDE_SPACES = np.array([c for c in _SPACES if c >= 256], dtype=np.uint32)
 _WIDE_BREAKS = np.array([c for c in _BREAKS if c >= 256], dtype=np.uint32)
 _ASCII_CODES = _CODE.tobytes()  # a bytes.translate table
-# a block ends after a line break; "\r\n" is one
-_LINE_BREAK = re.compile("\r\n|[" + "".join(map(chr, _BREAKS)) + "]")
+# the end of a str's last line break: the greedy ".*" backs off from the end
+_LAST_BREAK = re.compile("(?s).*[" + "".join(map(chr, _BREAKS)) + "]")
 
 # characters parsed at a time: one block's arrays take a few MB whatever the
 # size of the file
@@ -272,8 +270,9 @@ def _edge_lines(n: int, block: str, codes: np.ndarray, lineno: np.ndarray, start
     ``lineno`` numbers each edge line in the file, ``first`` is the index of
     its first token in (``starts``, ``ends``), and ``fields`` counts its
     tokens.  Returns the columns (lineno, a, b, floats, is_float, ints) of
-    the lines before the first bad one, with a <= b and ``ints`` holding the
-    int weights alone, and (line number, message) of that bad line or None.
+    the lines before the first bad one, with a <= b in the smallest int dtype
+    that holds n and ``ints`` each line's int weight (0 on float lines), and
+    (line number, message) of that bad line or None.
     """
     # The checks run in the order the format checks one line.  Each runs on
     # the lines before the first failure found so far and moves ``end`` back,
@@ -315,47 +314,87 @@ def _edge_lines(n: int, block: str, codes: np.ndarray, lineno: np.ndarray, start
     floats[three] = w_values
     ints = np.ones(end, dtype=w_ints.dtype)  # the default weight, an int
     ints[three] = w_ints
-    a, b = _narrow(np.minimum(u[:end], v[:end]), np.maximum(u[:end], v[:end]))
-    columns = (lineno[:end], a, b, floats, is_float, *_narrow(ints[~is_float]))
+    a, b = np.minimum(u[:end], v[:end]), np.maximum(u[:end], v[:end])
+    label = np.min_scalar_type(-n - 1)
+    a, b = _narrow(a, b) if label == object else (a.astype(label), b.astype(label))
+    columns = (lineno[:end], a, b, floats, is_float, *_narrow(ints))
     return columns, ((int(lineno[end]), error) if error else None)
 
 
-def _append(column: np.ndarray, filled: int, values: np.ndarray) -> np.ndarray:
-    """Write ``values`` at ``column[filled:]``; returns the column, grown or
-    turned into an object array first if it must be."""
-    end = filled + len(values)
-    promote = values.dtype == object and column.dtype != object
-    if promote or end > len(column):
-        grown = np.empty(max(end, 2 * len(column)), dtype=object if promote else column.dtype)
-        grown[:filled] = column[:filled]
-        column = grown
-    column[filled:end] = values
-    return column
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing ``keys`` as runs of consecutive values [start, stop)."""
+    cut = np.flatnonzero(keys[1:] != keys[:-1] + 1) + 1
+    return keys[np.append(0, cut)], keys[np.append(cut - 1, len(keys) - 1)] + 1
 
 
-def parse_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Parse the edge-list format into arrays (n, u, v, w).
+class _PairKeys:
+    """The duplicate-pair check of one file, fed a block of pair keys at a time.
 
-    ``u <= v`` are the 1-based ends of each pair with a nonzero weight, in
-    file order.  ``w`` keeps each weight's token type: int64 when every
-    weight is an int (``object`` past int64), float64 when every weight is a
-    float, and an ``object`` array of Python ints and floats when both occur.
-    A :class:`GraphFormatError` names the first bad line in file order.
+    While the keys increase, as in the files ``power`` writes, a block needs
+    no sort and is kept as runs of consecutive keys (a run per row of a
+    dense file).  From the first block on whose keys do not, the keys and
+    their line numbers are kept and sorted once, by :meth:`check`.
+    """
+
+    def __init__(self):
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
+        self.keys: list[np.ndarray] = []
+        self.lines: list[np.ndarray] = []
+
+    def add(self, keys: np.ndarray, lines: np.ndarray) -> None:
+        if not len(keys):
+            return
+        if not self.keys and (not self.runs or keys[0] >= self.runs[-1][1][-1]) and (keys[1:] > keys[:-1]).all():
+            self.runs.append(_runs(keys))
+        else:
+            self.keys.append(keys)
+            self.lines.append(lines)
+
+    def check(self, n: int) -> None:
+        """Raise the error of the first pair listed twice, if there is one."""
+        if not self.keys:
+            return
+        keys, lines = np.concatenate(self.keys), np.concatenate(self.lines)
+        repeated = np.ones(len(keys), dtype=bool)
+        repeated[np.unique(keys, return_index=True)[1]] = False
+        if self.runs:
+            starts, stops = map(np.concatenate, zip(*self.runs))
+            at = np.searchsorted(starts, keys, side="right") - 1
+            repeated |= (at >= 0) & (keys < stops[at])
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            raise GraphFormatError("duplicate pair ({}, {})".format(*divmod(keys[i], n + 1)), int(lines[i]))
+
+
+def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of ``chunks`` cut after the last line break of each chunk,
+    ``"\\r\\n"`` kept whole, so that every block but the last ends a line."""
+    pending: list[str] = []
+    for chunk in chunks:
+        found = _LAST_BREAK.match(chunk, 0, len(chunk) - chunk.endswith("\r"))
+        if found:
+            yield "".join([*pending, chunk[: found.end()]])
+            pending, chunk = [], chunk[found.end() :]
+        pending.append(chunk)
+    tail = "".join(pending)
+    if tail:
+        yield tail
+
+
+def _edge_blocks(chunks: Iterable[str]) -> Iterator:
+    """Parse a graph file given as chunks of text, a block of lines at a time.
+
+    Yields the vertex count n, then per block the columns (u, v, floats,
+    is_float, ints) of its pairs with a nonzero weight: u <= v in the
+    smallest int dtype that holds n, and each pair's float or int weight, as
+    ``is_float`` says.  A :class:`GraphFormatError` names the first bad line
+    in file order; it is raised when its block arrives, or, for a pair listed
+    twice in a file whose pairs are not in increasing order, at its end.
     """
     n: int | None = None
-    # Each block's columns go straight into whole-file columns, so no pieces
-    # of them stay behind in the heap.  A file has about one edge line per
-    # "\n"; a column grows if it needs more room.
-    size = text.count("\n") + 1
-    columns = [np.empty(size, dtype) for dtype in (np.int64, np.int64, np.int64, np.float64, bool, np.int64)]
-    filled = [0] * len(columns)
-    error = None
-    start = base = 0  # the block's first character and the lines before it
-    while start < len(text) and error is None:
-        found = _LINE_BREAK.search(text, start + _BLOCK_CHARS)
-        stop = found.end() if found else len(text)
-        block = text[start:stop]
-        start = stop
+    seen = _PairKeys()
+    base = 0  # the lines before the block
+    for block in _line_blocks(chunks):
         codes = _codes(block)
         starts, ends, line, first, fields, breaks = _lines(block, codes)
         if n is None and len(first):
@@ -369,45 +408,45 @@ def parse_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
                 raise GraphFormatError(f"bad vertex count {token!r}", head) from None
             if n < 1:
                 raise GraphFormatError(f"vertex count must be >= 1, got {n}", head)
+            yield n
+            # a key per pair, Python ints past int64
+            scale = np.array(n + 1, dtype=np.int64 if (n + 1) ** 2 < 2**63 else object)
             line, first, fields = line[1:], first[1:], fields[1:]
         if n is not None:
-            lineno = base + line + 1
-            part, error = _edge_lines(n, block, codes, lineno, starts, ends, first, fields)
-            for j, values in enumerate(part):
-                columns[j] = _append(columns[j], filled[j], values)
-                filled[j] += len(values)
+            (lineno, a, b, floats, is_float, ints), error = _edge_lines(
+                n, block, codes, base + line + 1, starts, ends, first, fields)
+            seen.add(a * scale + b, lineno)
+            if error is not None:
+                seen.check(n)  # a repeated pair comes before the bad line
+                raise GraphFormatError(error[1], error[0])
+            nonzero = np.where(is_float, floats != 0, ints != 0)
+            yield a[nonzero], b[nonzero], floats[nonzero], is_float[nonzero], ints[nonzero]
         base += breaks
     if n is None:
         raise GraphFormatError("empty input: missing vertex count")
+    seen.check(n)
 
-    lineno, a, b, floats, is_float, ints = (column[:count] for column, count in zip(columns, filled))
-    # the pairs before the first bad line: one key each, Python ints past int64
-    scale = n + 1 if (n + 1) ** 2 < 2**63 else np.array(n + 1, dtype=object)
-    key = a * scale + b
-    # keys in increasing order, as written files have them, are distinct
-    # without the sort
-    if not (key[1:] > key[:-1]).all():
-        _, once = np.unique(key, return_index=True)
-        if len(once) < len(a):
-            repeated = np.ones(len(a), dtype=bool)
-            repeated[once] = False
-            i = int(np.argmax(repeated))
-            error = (int(lineno[i]), f"duplicate pair ({a[i]}, {b[i]})")
-    del key
-    if error is not None:
-        raise GraphFormatError(error[1], error[0])
 
+def parse_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse the edge-list format into arrays (n, u, v, w).
+
+    ``u <= v`` are the 1-based ends of each pair with a nonzero weight, in
+    file order.  ``w`` keeps each weight's token type: int64 when every
+    weight is an int (``object`` past int64), float64 when every weight is a
+    float, and an ``object`` array of Python ints and floats when both occur.
+    A :class:`GraphFormatError` names the first bad line in file order.
+    """
+    blocks = _edge_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS))
+    n = next(blocks)
+    a, b, floats, is_float, ints = map(np.concatenate, zip(*blocks))
+    a, b = _narrow(a, b)
     if is_float.all():
-        w = floats
-    elif not is_float.any():
-        w = ints
-    else:
-        w = floats.astype(object)
-        w[~is_float] = ints
-    nonzero = w != 0
-    if nonzero.all():
-        return n, a, b, w
-    return n, a[nonzero], b[nonzero], w[nonzero]
+        return n, a, b, floats
+    if not is_float.any():
+        return n, a, b, ints
+    w = floats.astype(object)
+    w[~is_float] = ints[~is_float]
+    return n, a, b, w
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -429,53 +468,63 @@ def format_weight(w) -> str:
 
 
 # lines written at a time: one block's gather index takes a few MB
-_WRITE_LINES = 1 << 14
+_WRITE_LINES = 1 << 12
+# float weight texts kept across blocks: a bound on files with many distinct weights
+_REPR_CACHE = 1 << 16
 
 
-def _text_table(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of ``texts`` back to back, and each one's offset and length."""
-    data = [text.encode() for text in texts]
-    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
-    return np.frombuffer(b"".join(data), dtype=np.uint8), np.cumsum(lengths) - lengths, lengths
+def _text_table(texts: list[bytes], start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``texts`` back to back, each one's offset from ``start`` and its length (int32)."""
+    lengths = np.fromiter(map(len, texts), dtype=np.int32, count=len(texts))
+    return np.frombuffer(b"".join(texts), dtype=np.uint8), np.cumsum(lengths, dtype=np.int32) - lengths + start, lengths
+
+
+def edge_text_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = None) -> Iterator[str]:
+    """The graph file of n vertices with the pairs of ``blocks``, a block of
+    text at a time.
+
+    A block is (u, v, weights): 1-based ends, which index ``labels`` (by
+    default ``range(n + 1)``), and a float64 ndarray or a sequence of weights
+    for :func:`format_weight`.  Each ``_WRITE_LINES`` lines are gathered with
+    one ``np.repeat`` index from a byte table of the labels ``"u "`` and the
+    weight texts ``"w\\n"``.  A float's ``repr`` is made once per distinct
+    bit pattern across blocks; each block's weights go through ``np.unique``.
+    """
+    yield f"{n}\n"
+    labels = _text_table([f"{x} ".encode() for x in (range(n + 1) if labels is None else labels)])
+    reprs: dict[int, bytes] = {}
+    for u, v, weights in blocks:
+        for lo in range(0, len(u), _WRITE_LINES):
+            hi = lo + _WRITE_LINES
+            if isinstance(weights, np.ndarray) and weights.dtype == np.float64:
+                bits, w = np.unique(weights[lo:hi].view(np.int64), return_inverse=True)
+                if len(reprs) > _REPR_CACHE:
+                    reprs.clear()
+                texts = [reprs[b] if b in reprs else reprs.setdefault(b, f"{x!r}\n".encode())
+                         for b, x in zip(bits.tolist(), bits.view(np.float64).tolist())]
+            else:
+                index: dict[str, int] = {}
+                w = np.fromiter((index.setdefault(t, len(index)) for t in map(format_weight, weights[lo:hi])),
+                                dtype=np.intp, count=len(u[lo:hi]))
+                texts = [f"{t}\n".encode() for t in index]
+            table, offset, length = map(np.concatenate, zip(labels, _text_table(texts, len(labels[0]))))
+            entries = np.stack((u[lo:hi], v[lo:hi], w + len(labels[1])), axis=1).ravel()
+            size = length[entries]
+            at = np.cumsum(size, dtype=np.int32) - size  # each entry's place in the block's bytes
+            gather = np.repeat(offset[entries] - at, size) + np.arange(at[-1] + size[-1], dtype=np.int32)
+            yield table[gather].tobytes().decode()
 
 
 def write_edges(n: int, u, v, weights) -> str:
-    """Render parallel 1-based endpoint arrays and their weights as a graph file.
-
-    Pairs are written in the given order.  ``weights`` is a float64 ndarray
-    or a sequence of weights for :func:`format_weight`.
-
-    Each line is three entries of one byte table: the labels ``"u "`` and
-    ``"v "`` and the weight text ``"w\\n"``, each text made once.
-    """
+    """Render parallel 1-based endpoint arrays and their weights as a graph
+    file: the blocks of :func:`edge_text_blocks` joined."""
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    if not len(u):
-        return f"{n}\n"
-    if min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) <= 2 * len(u):
-        labels = range(max(u.max(), v.max()) + 1)
-    else:  # few pairs among large labels: a label for each value that occurs
+    labels = range(max(u.max(initial=0), v.max(initial=0)) + 1)
+    if min(u.min(initial=0), v.min(initial=0)) < 0 or len(labels) > 2 * len(u) + 1:
+        # few pairs among large labels: a label for each value that occurs
         labels, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
         labels, u, v = labels.tolist(), inverse[: len(u)], inverse[len(u) :]
-    if isinstance(weights, np.ndarray) and weights.dtype == np.float64:
-        # repr, format_weight's text for a float, once per distinct bit pattern
-        bits, w = np.unique(weights.view(np.int64), return_inverse=True)
-        texts = map(repr, bits.view(np.float64).tolist())
-    else:
-        index: dict[str, int] = {}
-        w = np.fromiter((index.setdefault(t, len(index)) for t in map(format_weight, weights)),
-                        dtype=np.intp, count=len(u))
-        texts = index
-    table, offset, length = _text_table([*map("{} ".format, labels), *map("{}\n".format, texts)])
-    w = w + len(labels)
-    parts = [f"{n}\n"]
-    for lo in range(0, len(u), _WRITE_LINES):
-        hi = lo + _WRITE_LINES
-        entries = np.stack((u[lo:hi], v[lo:hi], w[lo:hi]), axis=1).ravel()
-        size = length[entries]
-        at = np.cumsum(size) - size  # each entry's place in the block's bytes
-        gather = np.repeat(offset[entries] - at, size) + np.arange(at[-1] + size[-1])
-        parts.append(table[gather].tobytes().decode())
-    return "".join(parts)
+    return "".join(edge_text_blocks(n, [(u, v, weights)], labels))
 
 
 def write_graph(graph: WeightedGraph) -> str:
@@ -539,3 +588,11 @@ def write_edge_stats_json(
     if spectrum is not None:
         stats["spectrum"] = spectrum
     return json.dumps(stats) + "\n"
+
+
+def read_stats_json(handle: TextIO) -> str:
+    """:func:`write_edge_stats_json` of the graph file read from a text
+    handle ``_BLOCK_CHARS`` characters at a time, counted as blocks arrive."""
+    blocks = _edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
+    n = next(blocks)
+    return json.dumps({**analysis.support_stats_blocks(n, (part[:2] for part in blocks)), "wiener": None}) + "\n"

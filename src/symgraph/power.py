@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,7 +75,11 @@ _INT64_SAFE = 2**62
 _BLOCK_ELEMS = 1 << 14
 
 # core entries scanned at a time for the nonzero upper-triangle pairs
-_SUPPORT_BLOCK = 1 << 18
+_SUPPORT_BLOCK = 1 << 15
+
+# bytes per core entry; a Python int in an object core took about 68 at
+# n=10, k=5 (N=2002) with weights from 10^5 to 10^6
+_ENTRY_BYTES = {"int64": 8, "float64": 8, "object": 68}
 
 
 class SizeBudgetError(ValueError):
@@ -421,36 +425,37 @@ class SymPowerMatrix:
         d = np.array(self.orbit_sizes, dtype=np.float64)
         return self._float_core(self.core) / np.sqrt(np.outer(d, d))
 
-    def upper_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based (rows, cols) of the nonzero core entries with row <= col,
-        sorted by (row, col).
-
-        The core is scanned a block of rows at a time, from the diagonal
-        on, so no temporary grows with the N x N core.
-        """
-        rows, cols = [], []
+    def upper_blocks(self, edges: bool = False):
+        """0-based (rows, cols, weights) of the nonzero core entries with row <=
+        col in (row, col) order, a block per about ``_SUPPORT_BLOCK`` entries
+        scanned from the diagonal on, so no temporary grows with the N x N
+        core.  The float64 weights are bit-equal to ``to_dense()[rows, cols]``;
+        with ``edges``, pairs whose weight underflows to 0.0 (no edge in
+        ``to_dense``) are left out."""
+        d = np.array(self.orbit_sizes, dtype=np.float64)
         step = max(1, _SUPPORT_BLOCK // self.dim)
         for lo in range(0, self.dim, step):
-            r, c = np.nonzero(self.core[lo : lo + step, lo:])
-            upper = c >= r
-            rows.append(r[upper] + lo)
-            cols.append(c[upper] + lo)
+            rows, cols = np.nonzero(self.core[lo : lo + step, lo:])
+            upper = cols >= rows
+            rows, cols = rows[upper] + lo, cols[upper] + lo
+            weights = self._float_core(self.core[rows, cols]) / np.sqrt(d[rows] * d[cols])
+            keep = weights != 0.0 if edges else slice(None)
+            yield rows[keep], cols[keep], weights[keep]
+
+    def upper_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (rows, cols) of the nonzero core entries with row <= col,
+        sorted by (row, col): the blocks of :meth:`upper_blocks` joined."""
+        rows, cols, _ = zip(*self.upper_blocks())
         return np.concatenate(rows), np.concatenate(cols)
 
     def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero pairs of the float matrix with row <= col and their weights.
+        """The nonzero pairs of the float matrix with row <= col and their
+        weights: the blocks of ``upper_blocks(edges=True)`` joined.
 
         Rows and cols are 0-based and sorted by (row, col), the order of
-        ``WeightedGraph.edges()``; the float64 weights are bit-equal to
-        ``to_dense()[rows, cols]`` without building the N x N float matrix.
-        A pair whose float weight underflows to 0.0 is left out, as
-        ``to_dense`` reads it as no edge.
+        ``WeightedGraph.edges()``, without building the N x N float matrix.
         """
-        rows, cols = self.upper_support()
-        d = np.array(self.orbit_sizes, dtype=np.float64)
-        weights = self._float_core(self.core[rows, cols]) / np.sqrt(d[rows] * d[cols])
-        keep = weights != 0.0
-        return rows[keep], cols[keep], weights[keep]
+        return tuple(map(np.concatenate, zip(*self.upper_blocks(edges=True))))
 
     def vertex_labels(self) -> tuple[str, ...]:
         return tuple(",".join(map(str, t)) for t in self.tuples)
@@ -472,9 +477,12 @@ def sym_power(
 
     Rational input weights produce an exact core; any float weight switches
     the whole core to float64.  The result is deterministic for fixed
-    arguments.  Raises :class:`SizeBudgetError` when the power dimension
-    exceeds ``max_dim`` (default: the SYMTENSOR_MAX_N environment variable,
-    else 5000), and for ``method="orbit"`` when n^k exceeds 2,000,000.
+    arguments.  Raises :class:`SizeBudgetError` before allocating when the
+    power dimension exceeds ``max_dim`` (default: the SYMTENSOR_MAX_N
+    environment variable, else 5000), when the core would take more bytes
+    than an int64 core of that dimension (8 bytes per int64 or float64
+    entry, about 68 per object entry), and for ``method="orbit"`` when n^k
+    exceeds 2,000,000.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -506,6 +514,11 @@ def sym_power(
     else:
         path = "float64"
         a = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
+    # the bytes of an int64 core at the dimension budget bound every core
+    need, allowed = _ENTRY_BYTES[path] * big * big, 8 * cap * cap
+    if need > allowed:
+        raise SizeBudgetError(f"the {path} core of N={big} (n={n}, k={k}) would take about {need:,} bytes, more than "
+                              f"the {allowed:,} of an int64 core at the budget {cap}; raise {MAX_DIM_ENV} to override")
     kernel = _core_linear_forms if method == "permanent" else _core_orbit_numpy
 
     return SymPowerMatrix(
@@ -625,18 +638,13 @@ def relabel(graph: WeightedGraph, sigma: Sequence[int]) -> WeightedGraph:
 # ---------------------------------------------------------------------------
 
 
-def extend_multiset(t: VertexMultiset, extra: Iterable[int]) -> VertexMultiset:
-    """Sorted union of ``t`` with extra vertex copies (same ambient n)."""
-    return VertexMultiset(tuple(sorted(tuple(t.entries) + tuple(extra))), t.n)
-
-
 def loop_injection(t: VertexMultiset, loop_vertex: int, k2: int) -> VertexMultiset:
     """Pad with copies of a looped vertex to lift a tuple from power k to k2."""
     if k2 < t.k:
         raise ValueError(f"target exponent {k2} below tuple length {t.k}")
-    return extend_multiset(t, (loop_vertex,) * (k2 - t.k))
+    return VertexMultiset(tuple(sorted([*t.entries, *(loop_vertex,) * (k2 - t.k)])), t.n)
 
 
 def edge_injection(t: VertexMultiset, u: int, v: int, steps: int) -> VertexMultiset:
     """Pad with ``steps`` copies of an adjacent pair, lifting k to k + 2*steps."""
-    return extend_multiset(t, (u, v) * steps)
+    return VertexMultiset(tuple(sorted([*t.entries, *(u, v) * steps])), t.n)

@@ -309,3 +309,127 @@ def test_verify_status_line_reports_seconds(capsys):
     [result] = run_suites(["permutation"], nmax=3, kmax=2)
     assert int(match.group(1)) == result.checks
     assert float(match.group(2)) >= 0 and result.seconds > 0
+
+
+# -- streaming in blocks -------------------------------------------------------
+
+STREAM_GRAPHS = {
+    "int64": "5\n" + "".join(f"{u} {v}\n" for u in range(1, 6) for v in range(u, 6)),
+    "object": "3\n1 1 1000000000\n1 2 1000000001\n2 3 -7\n",
+    "float64": FLOAT_TEXT,
+}
+
+
+def _block_sizes(monkeypatch, size):
+    import symgraph.fileio
+    import symgraph.power
+
+    if size is not None:
+        monkeypatch.setattr(symgraph.fileio, "_BLOCK_CHARS", size)
+        monkeypatch.setattr(symgraph.fileio, "_WRITE_LINES", size)
+        monkeypatch.setattr(symgraph.power, "_SUPPORT_BLOCK", size)
+
+
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_streamed_power_equals_the_joined_arrays_in_any_block_size(capsys, monkeypatch, size):
+    from symgraph.fileio import write_edges
+
+    # the references are made whole, at the default block sizes
+    want = {}
+    for path, text in STREAM_GRAPHS.items():
+        power = sym_power(parse_graph(text), 3)
+        assert power.path == path
+        rows, cols, weights = power.upper_edges()
+        want[path, False] = write_edges(power.dim, rows + 1, cols + 1, weights)
+        if power.exact:
+            rows, cols = power.upper_support()
+            exact = list(map(power.entry_exact, rows.tolist(), cols.tolist()))
+            want[path, True] = write_edges(power.dim, rows + 1, cols + 1, exact)
+    _block_sizes(monkeypatch, size)
+    for (path, exact), text in want.items():
+        argv = ["power", "-k", "3"] + (["--exact"] if exact else [])
+        code, out, err = run_cli(capsys, argv, stdin=STREAM_GRAPHS[path], monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        assert out == text, (path, exact)
+
+
+def _random_graph_file(rng):
+    """A seeded graph file: pairs in any order, loops, zero and float
+    weights, comments; sometimes a duplicate or a bad line at the end."""
+    n = rng.randint(1, 9)
+    pairs = rng.sample([(u, v) for u in range(1, n + 1) for v in range(1, n + 1)], rng.randint(0, n * n // 2))
+    seen, lines = set(), [rng.choice(["", "# a graph"]), f"{n}"]
+    for u, v in pairs:
+        if (min(u, v), max(u, v)) in seen:
+            continue
+        seen.add((min(u, v), max(u, v)))
+        weight = rng.choice(["", " 1", " -2", " 0", " 0.5", " 1e-3", " 0.0"])
+        lines.append(f"{u} {v}{weight}" + rng.choice(["", "  # note"]))
+    roll = rng.random()
+    if roll < 0.15 and seen:
+        u, v = rng.choice(sorted(seen))
+        lines.append(f"{v} {u} 3")
+    elif roll < 0.3:
+        lines.append(rng.choice(["1 2 3 4", "x y", f"1 {n + 1}", "1 1 nan", "1 1 w"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_streamed_stats_equals_the_whole_file_stats_in_any_block_size(capsys, monkeypatch, size):
+    import random
+
+    from symgraph.fileio import GraphFormatError, parse_edges, write_edge_stats_json
+
+    rng = random.Random(8191)
+    files = [_random_graph_file(rng) for _ in range(200)]
+    want = []
+    for text in files:
+        try:
+            want.append((0, write_edge_stats_json(*parse_edges(text)[:3]), ""))
+        except GraphFormatError as exc:
+            want.append((2, "", f"error: {exc}\n"))
+    errors = [w for w in want if w[0]]
+    assert 20 < len(errors) < 100 and all(err.startswith("error: line ") for _, _, err in errors)
+    assert len({json.loads(out)["components"] for code, out, _ in want if not code}) > 3
+    _block_sizes(monkeypatch, size)
+    for text, expected in zip(files, want):
+        assert run_cli(capsys, ["stats"], stdin=text, monkeypatch=monkeypatch) == expected, text
+
+
+def _peak_mb(argv, stdout=None) -> float:
+    """Peak RSS of a child process in MB, from ``os.wait4``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(symgraph.cli.__file__).parents[1]))
+    with open(os.devnull, "wb") if stdout is None else open(stdout, "wb") as out:
+        child = subprocess.Popen([sys.executable, "-c", *argv], stdout=out, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, argv
+    return usage.ru_maxrss / 1024
+
+
+def test_dense_power_and_stats_run_in_bounded_memory(tmp_path):
+    # power -k 5 of complete_loops 9 writes 828,828 pairs (18.4 MB); each
+    # process may peak at most 30 MB above a bare import of the CLI
+    source, power = tmp_path / "family.txt", tmp_path / "power.txt"
+    assert main(["family", "complete_loops", "9", "-o", str(source)]) == 0
+    shim = "import sys; from symgraph.cli import main; sys.exit(main())"
+    bare = _peak_mb(["import symgraph.cli"])
+    power_mb = _peak_mb([shim, "power", "-k", "5", str(source)], stdout=power)
+    stats_mb = _peak_mb([shim, "stats", str(power)])
+    assert power.stat().st_size > 18_000_000
+    assert power_mb <= bare + 30 and stats_mb <= bare + 30, (bare, power_mb, stats_mb)
+
+
+def test_power_past_the_core_bytes_budget_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "20")
+    source = tmp_path / "in.txt"
+    source.write_text("3\n1 1 1000000000\n1 2 1000000001\n2 3 -7\n")
+    code, out, err = run_cli(capsys, ["power", "-k", "3", str(source)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the object core of N=10") and "SYMTENSOR_MAX_N" in err
+    code, out, _ = run_cli(capsys, ["power", "-k", "2", str(source)])
+    assert code == 0 and out.startswith("6\n")

@@ -689,3 +689,23 @@ def test_nesting_path_edge_alternation():
                 ra = rank(edge_injection(VertexMultiset(small.tuples[a], 3), 1, 2, 1))
                 rb = rank(edge_injection(VertexMultiset(small.tuples[b], 3), 2, 1, 1))
                 assert big.core_entry(ra, rb)
+
+
+def test_a_core_past_the_bytes_of_an_int64_core_at_the_budget_refuses_first(monkeypatch):
+    # SYMTENSOR_MAX_N=20 allows 8 * 20^2 = 3,200 bytes: an object core of
+    # N=6 (68 * 36 = 2,448 bytes) runs, one of N=10 (6,800 bytes) refuses
+    # before the kernel runs, while an int64 core of N=10 (800 bytes) runs
+    import symgraph.power
+
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "20")
+    g = WeightedGraph(3, {(1, 1): 10**9, (1, 2): 10**9 + 1, (2, 3): -7})
+    assert sym_power(g, 2).path == "object"
+    assert sym_power(path(3), 3).path == "int64"
+    assert sym_power(g, 3, max_dim=30).dim == 10  # 8 * 30^2 = 7,200 bytes
+
+    def kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(symgraph.power, "_core_linear_forms", kernel)
+    with pytest.raises(SizeBudgetError, match="object core of N=10 .* SYMTENSOR_MAX_N"):
+        sym_power(g, 3)
