@@ -102,6 +102,11 @@ def _component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
+def _degrees(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Degree of each vertex 0..n: a pair counts once at each end, a loop once."""
+    return np.bincount(u, minlength=n + 1) + np.bincount(v[u != v], minlength=n + 1)
+
+
 def support_stats_blocks(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict[str, object]:
     """n, edge, loop and component counts and the degrees, in that key order,
     of an n-vertex graph whose weighted pairs are the distinct (u, v), u <= v,
@@ -113,9 +118,7 @@ def support_stats_blocks(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
         between = u != v
         edges += len(u)
         loops += len(u) - int(np.count_nonzero(between))
-        # a pair counts once at each end, a loop once
-        degrees += np.bincount(u, minlength=n + 1)
-        degrees += np.bincount(v[between], minlength=n + 1)
+        degrees += _degrees(n, u, v)
         _merge(parent, u[between], v[between])
     components = int(np.count_nonzero(parent[1:] == np.arange(1, n + 1)))
     return {"n": n, "edges": edges, "loops": loops, "components": components, "degrees": degrees[1:].tolist()}
@@ -155,7 +158,7 @@ def degree(graph: WeightedGraph, v: int) -> int:
 
 def degree_sequence(graph: WeightedGraph) -> list[int]:
     """Degrees of all vertices in one pass (same convention as degree)."""
-    return support_stats(graph.n, *support_arrays(graph))["degrees"]
+    return _degrees(graph.n, *support_arrays(graph))[1:].tolist()
 
 
 def edge_count(graph: WeightedGraph) -> int:

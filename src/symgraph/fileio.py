@@ -409,13 +409,14 @@ def _edge_blocks(chunks: Iterable[str]) -> Iterator:
             if n < 1:
                 raise GraphFormatError(f"vertex count must be >= 1, got {n}", head)
             yield n
-            # a key per pair, Python ints past int64
-            scale = np.array(n + 1, dtype=np.int64 if (n + 1) ** 2 < 2**63 else object)
+            # a key per pair, made from int64 labels (Python ints past int64):
+            # the labels' own dtype holds n, not (n + 1)^2
+            key = np.int64 if (n + 1) ** 2 < 2**63 else object
             line, first, fields = line[1:], first[1:], fields[1:]
         if n is not None:
             (lineno, a, b, floats, is_float, ints), error = _edge_lines(
                 n, block, codes, base + line + 1, starts, ends, first, fields)
-            seen.add(a * scale + b, lineno)
+            seen.add(a.astype(key) * (n + 1) + b, lineno)
             if error is not None:
                 seen.check(n)  # a repeated pair comes before the bad line
                 raise GraphFormatError(error[1], error[0])
@@ -469,14 +470,12 @@ def format_weight(w) -> str:
 
 # lines written at a time: one block's gather index takes a few MB
 _WRITE_LINES = 1 << 12
-# float weight texts kept across blocks: a bound on files with many distinct weights
-_REPR_CACHE = 1 << 16
 
 
-def _text_table(texts: list[bytes], start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``texts`` back to back, each one's offset from ``start`` and its length (int32)."""
+def _text_table(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``texts`` back to back, each one's offset and its length (int32)."""
     lengths = np.fromiter(map(len, texts), dtype=np.int32, count=len(texts))
-    return np.frombuffer(b"".join(texts), dtype=np.uint8), np.cumsum(lengths, dtype=np.int32) - lengths + start, lengths
+    return np.frombuffer(b"".join(texts), dtype=np.uint8), np.cumsum(lengths, dtype=np.int32) - lengths, lengths
 
 
 def edge_text_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = None) -> Iterator[str]:
@@ -486,32 +485,34 @@ def edge_text_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = 
     A block is (u, v, weights): 1-based ends, which index ``labels`` (by
     default ``range(n + 1)``), and a float64 ndarray or a sequence of weights
     for :func:`format_weight`.  Each ``_WRITE_LINES`` lines are gathered with
-    one ``np.repeat`` index from a byte table of the labels ``"u "`` and the
-    weight texts ``"w\\n"``.  A float's ``repr`` is made once per distinct
-    bit pattern across blocks; each block's weights go through ``np.unique``.
+    one ``np.repeat`` index from a byte table: the labels ``"u "``, made once,
+    then the block's distinct weight texts ``"w\\n"``, written over the
+    previous block's.  A float's ``repr`` is made once per distinct bit
+    pattern in the block.
     """
     yield f"{n}\n"
-    labels = _text_table([f"{x} ".encode() for x in (range(n + 1) if labels is None else labels)])
-    reprs: dict[int, bytes] = {}
+    labels, label_at, label_size = _text_table([f"{x} ".encode() for x in (range(n + 1) if labels is None else labels)])
+    table = labels
     for u, v, weights in blocks:
         for lo in range(0, len(u), _WRITE_LINES):
             hi = lo + _WRITE_LINES
             if isinstance(weights, np.ndarray) and weights.dtype == np.float64:
                 bits, w = np.unique(weights[lo:hi].view(np.int64), return_inverse=True)
-                if len(reprs) > _REPR_CACHE:
-                    reprs.clear()
-                texts = [reprs[b] if b in reprs else reprs.setdefault(b, f"{x!r}\n".encode())
-                         for b, x in zip(bits.tolist(), bits.view(np.float64).tolist())]
+                texts = [f"{x!r}\n".encode() for x in bits.view(np.float64).tolist()]
             else:
                 index: dict[str, int] = {}
                 w = np.fromiter((index.setdefault(t, len(index)) for t in map(format_weight, weights[lo:hi])),
                                 dtype=np.intp, count=len(u[lo:hi]))
                 texts = [f"{t}\n".encode() for t in index]
-            table, offset, length = map(np.concatenate, zip(labels, _text_table(texts, len(labels[0]))))
-            entries = np.stack((u[lo:hi], v[lo:hi], w + len(labels[1])), axis=1).ravel()
-            size = length[entries]
+            text, text_at, text_size = _text_table(texts)
+            if len(table) < len(labels) + len(text):  # room for twice these texts
+                table = np.concatenate((labels, np.empty(2 * len(text), dtype=np.uint8)))
+            table[len(labels) : len(labels) + len(text)] = text
+            a, b = u[lo:hi], v[lo:hi]
+            offset = np.stack((label_at[a], label_at[b], text_at[w] + len(labels)), axis=1).ravel()
+            size = np.stack((label_size[a], label_size[b], text_size[w]), axis=1).ravel()
             at = np.cumsum(size, dtype=np.int32) - size  # each entry's place in the block's bytes
-            gather = np.repeat(offset[entries] - at, size) + np.arange(at[-1] + size[-1], dtype=np.int32)
+            gather = np.repeat(offset - at, size) + np.arange(at[-1] + size[-1], dtype=np.int32)
             yield table[gather].tobytes().decode()
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,9 +77,9 @@ _BLOCK_ELEMS = 1 << 14
 # core entries scanned at a time for the nonzero upper-triangle pairs
 _SUPPORT_BLOCK = 1 << 15
 
-# bytes per core entry; a Python int in an object core took about 68 at
-# n=10, k=5 (N=2002) with weights from 10^5 to 10^6
-_ENTRY_BYTES = {"int64": 8, "float64": 8, "object": 68}
+# bytes per object core entry: a Python int took about 68 at n=10, k=5
+# (N=2002) with weights from 10^5 to 10^6
+_OBJECT_ENTRY_BYTES = 68
 
 
 class SizeBudgetError(ValueError):
@@ -414,32 +414,45 @@ class SymPowerMatrix:
 
     def _float_core(self, core: np.ndarray) -> np.ndarray:
         """Core entries as float64 S values, dividing by ``denominator`` exactly."""
-        if self.denominator == 1:
-            return core.astype(np.float64)
-        # Python int division rounds once; float64 division would round
-        # the numerator or L^k first once either passes 2^53
-        return (core.astype(object) / self.denominator).astype(np.float64)
+        try:
+            if self.denominator == 1:
+                return core.astype(np.float64)
+            # Python int division rounds once; float64 division would round
+            # the numerator or L^k first once either passes 2^53
+            return (core.astype(object) / self.denominator).astype(np.float64)
+        except OverflowError:
+            raise ValueError("a power entry is past the float64 range; entry_exact (power --exact) holds it") from None
 
     def to_dense(self) -> np.ndarray:
         """Materialize the float matrix E = S / sqrt(D outer D)."""
         d = np.array(self.orbit_sizes, dtype=np.float64)
         return self._float_core(self.core) / np.sqrt(np.outer(d, d))
 
-    def upper_blocks(self, edges: bool = False):
+    def upper_blocks(self, edges: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
         """0-based (rows, cols, weights) of the nonzero core entries with row <=
         col in (row, col) order, a block per about ``_SUPPORT_BLOCK`` entries
         scanned from the diagonal on, so no temporary grows with the N x N
-        core.  The float64 weights are bit-equal to ``to_dense()[rows, cols]``;
-        with ``edges``, pairs whose weight underflows to 0.0 (no edge in
-        ``to_dense``) are left out."""
+        core.  Without ``edges`` the weights are None; with ``edges`` they are
+        float64, bit-equal to ``to_dense()[rows, cols]``, and pairs whose
+        weight underflows to 0.0 (no edge in ``to_dense``) are left out.
+        An entry past the float64 range raises ValueError here, before the
+        first block."""
+        if edges and self.path == "object":
+            self._float_core(np.array([self.core.min(), self.core.max()], dtype=object))
+        return self._upper_blocks(edges)
+
+    def _upper_blocks(self, edges: bool):
         d = np.array(self.orbit_sizes, dtype=np.float64)
         step = max(1, _SUPPORT_BLOCK // self.dim)
         for lo in range(0, self.dim, step):
             rows, cols = np.nonzero(self.core[lo : lo + step, lo:])
             upper = cols >= rows
             rows, cols = rows[upper] + lo, cols[upper] + lo
+            if not edges:
+                yield rows, cols, None
+                continue
             weights = self._float_core(self.core[rows, cols]) / np.sqrt(d[rows] * d[cols])
-            keep = weights != 0.0 if edges else slice(None)
+            keep = weights != 0.0
             yield rows[keep], cols[keep], weights[keep]
 
     def upper_support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -514,9 +527,10 @@ def sym_power(
     else:
         path = "float64"
         a = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
-    # the bytes of an int64 core at the dimension budget bound every core
-    need, allowed = _ENTRY_BYTES[path] * big * big, 8 * cap * cap
-    if need > allowed:
+    # the bytes of an int64 core at the dimension budget bound every core;
+    # only an object core, past 8 bytes an entry, can take more
+    need, allowed = _OBJECT_ENTRY_BYTES * big * big, 8 * cap * cap
+    if path == "object" and need > allowed:
         raise SizeBudgetError(f"the {path} core of N={big} (n={n}, k={k}) would take about {need:,} bytes, more than "
                               f"the {allowed:,} of an int64 core at the budget {cap}; raise {MAX_DIM_ENV} to override")
     kernel = _core_linear_forms if method == "permanent" else _core_orbit_numpy

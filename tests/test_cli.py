@@ -115,6 +115,18 @@ def test_power_exact_rejects_float_graph(tmp_path, capsys):
     assert "rational" in err
 
 
+def test_power_exact_writes_weights_past_the_float_range(tmp_path, capsys):
+    # (10^160)^2 has no float64: --exact never converts the core to floats
+    source = tmp_path / "in.txt"
+    source.write_text(f"2\n1 2 {10**160}\n")
+    code, out, err = run_cli(capsys, ["power", "-k", "2", "--exact", str(source)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split() == ["1", "2", f"{10**320}"]
+    # without --exact the float weights refuse before the first byte
+    code, out, err = run_cli(capsys, ["power", "-k", "2", str(source)])
+    assert (code, out) == (2, "") and "float64 range" in err
+
+
 def test_power_k_zero_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["power", "-k", "0"])

@@ -358,6 +358,17 @@ def test_parse_zero_weight_repeat_is_a_duplicate():
     assert exc.value.line == 3
 
 
+def test_pair_keys_do_not_wrap_in_the_labels_dtype():
+    # with n=20 the labels fit int8, where the keys 1*21+9 = 30 and
+    # 13*21+13 = 286 agree mod 256; the pairs are distinct, and a repeat is
+    # named by its own pair
+    n, u, v, _ = parse_edges("20\n13 13\n1 9\n20 20\n")
+    assert (u.tolist(), v.tolist()) == ([13, 1, 20], [13, 9, 20])
+    with pytest.raises(GraphFormatError) as exc:
+        parse_edges("20\n20 20\n1 9\n13 13\n20 20\n")
+    assert exc.value.line == 5 and "duplicate pair (20, 20)" in str(exc.value)
+
+
 def _reference_weight(token):
     try:
         return int(token)
