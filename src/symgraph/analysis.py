@@ -1,7 +1,8 @@
 """Graph invariants of powers and their closed-form predictors.
 
 The measured side lives here: connected components, loop and edge counts,
-degrees, and the Wiener index via per-source BFS on the unweighted support.
+degrees, and, by one BFS on the unweighted support, bipartiteness and the
+Wiener index.
 Components, degrees and the counts of :func:`support_stats_blocks` run on
 blocks of the pairs (u, v) as they arrive, so a graph file's stats need no
 :class:`WeightedGraph` and no whole-file array.
@@ -21,7 +22,6 @@ Conventions, chosen once and used everywhere:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -124,11 +124,6 @@ def support_stats_blocks(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
     return {"n": n, "edges": edges, "loops": loops, "components": components, "degrees": degrees[1:].tolist()}
 
 
-def support_stats(n: int, u: np.ndarray, v: np.ndarray) -> dict[str, object]:
-    """:func:`support_stats_blocks` of the pairs (u, v) as one block."""
-    return support_stats_blocks(n, [(u, v)])
-
-
 def components(graph: WeightedGraph) -> ComponentStructure:
     """Connected components of the unweighted support; loops are ignored."""
     ids = _component_ids(graph.n, *support_arrays(graph))
@@ -167,25 +162,14 @@ def edge_count(graph: WeightedGraph) -> int:
 
 
 def is_bipartite(graph: WeightedGraph) -> bool:
-    """Two-colorability of the support; any loop is an odd cycle, so False."""
-    if count_loops(graph):
-        return False
-    color = [-1] * (graph.n + 1)
+    """Two-colorability of the support: every edge joins BFS depths of
+    different parity; any loop is an odd cycle, so False."""
     adj = _adjacency_lists(graph)
-    for start in range(1, graph.n + 1):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+    depth = [-1] * (graph.n + 1)
+    for v in range(1, graph.n + 1):
+        if depth[v] < 0:
+            _bfs(adj, v, depth)
+    return all((depth[u] + depth[v]) % 2 for u, v, _ in graph.edges())
 
 
 def _adjacency_lists(graph: WeightedGraph) -> list[list[int]]:
@@ -195,6 +179,21 @@ def _adjacency_lists(graph: WeightedGraph) -> list[list[int]]:
             adj[u].append(v)
             adj[v].append(u)
     return adj
+
+
+def _bfs(adj: Sequence[Sequence[int]], source: int, dist: list[int]) -> list[int]:
+    """Hop distances from ``source`` into ``dist``, whose entries are -1 for
+    unvisited vertices.  Sets ``dist`` only for the vertices it reaches and
+    returns them in visiting order, so a caller can reset just those."""
+    dist[source] = 0
+    order = [source]
+    for u in order:  # the list grows while it is walked: a FIFO queue
+        d = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+    return order
 
 
 class DisconnectedGraphError(ValueError):
@@ -208,26 +207,6 @@ class DisconnectedGraphError(ValueError):
         self.component_count = component_count
 
 
-def _bfs_distance_sum(adj: Sequence[Sequence[int]], source: int, n: int) -> int | None:
-    """Sum of hop distances from source; None when some vertex is unreachable."""
-    dist = [-1] * (n + 1)
-    dist[source] = 0
-    queue = deque([source])
-    total = 0
-    seen = 1
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                total += dist[w]
-                seen += 1
-                queue.append(w)
-    if seen != n:
-        return None
-    return total
-
-
 def wiener_index(graph: WeightedGraph) -> int:
     """Sum of hop-count distances over unordered distinct vertex pairs.
 
@@ -237,10 +216,11 @@ def wiener_index(graph: WeightedGraph) -> int:
     adj = _adjacency_lists(graph)
     total = 0
     for v in range(1, graph.n + 1):
-        part = _bfs_distance_sum(adj, v, graph.n)
-        if part is None:
+        dist = [-1] * (graph.n + 1)
+        reached = _bfs(adj, v, dist)
+        if len(reached) != graph.n:
             raise DisconnectedGraphError(components(graph).count)
-        total += part
+        total += sum(dist[w] for w in reached)
     return total // 2
 
 
@@ -248,22 +228,16 @@ def wiener_within_components(graph: WeightedGraph) -> int:
     """Sum of pairwise distances taken within each component separately.
 
     A convenience beyond the plain Wiener index, which is undefined for
-    disconnected graphs.
+    disconnected graphs.  One distance list serves every source, and each
+    BFS resets only the entries it reached, so a source costs what it reaches.
     """
-    structure = components(graph)
     adj = _adjacency_lists(graph)
+    dist = [-1] * (graph.n + 1)
     total = 0
-    for comp in structure.members:
-        for v in comp:
-            dist = {v: 0}
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-            total += sum(dist.values())
+    for v in range(1, graph.n + 1):
+        for w in _bfs(adj, v, dist):
+            total += dist[w]
+            dist[w] = -1
     return total // 2
 
 

@@ -172,10 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphFormatError, CountLimitError, JacobiConvergenceError, ValueError) as exc:
+    except (FileNotFoundError, GraphFormatError, CountLimitError, JacobiConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

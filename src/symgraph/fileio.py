@@ -549,6 +549,16 @@ def write_dot(graph: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _stats_json(counts: dict[str, object], wiener: int | None = None, spectrum: list[float] | None = None) -> str:
+    """The stats JSON: ``counts`` as :func:`analysis.support_stats_blocks`
+    returns them, then ``wiener`` (null when None), then ``spectrum`` when
+    given."""
+    stats = {**counts, "wiener": wiener}
+    if spectrum is not None:
+        stats["spectrum"] = spectrum
+    return json.dumps(stats) + "\n"
+
+
 def write_stats_json(
     graph: WeightedGraph,
     wiener: bool = False,
@@ -569,31 +579,13 @@ def write_stats_json(
     values = None
     if spectrum:
         values = list(eigenvalues_symmetric(adjacency_matrix(graph), tol=tol).values)
-    u, v = analysis.support_arrays(graph)
-    return write_edge_stats_json(graph.n, u, v, wiener_value, values)
-
-
-def write_edge_stats_json(
-    n: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    wiener: int | None = None,
-    spectrum: list[float] | None = None,
-) -> str:
-    """The stats JSON of an n-vertex graph with the distinct pairs (u, v).
-
-    The pairs are 1-based with u <= v, as :func:`parse_edges` returns them.
-    """
-    stats: dict[str, object] = analysis.support_stats(n, u, v)
-    stats["wiener"] = wiener
-    if spectrum is not None:
-        stats["spectrum"] = spectrum
-    return json.dumps(stats) + "\n"
+    counts = analysis.support_stats_blocks(graph.n, [analysis.support_arrays(graph)])
+    return _stats_json(counts, wiener_value, values)
 
 
 def read_stats_json(handle: TextIO) -> str:
-    """:func:`write_edge_stats_json` of the graph file read from a text
-    handle ``_BLOCK_CHARS`` characters at a time, counted as blocks arrive."""
+    """The stats JSON of the graph file read from a text handle
+    ``_BLOCK_CHARS`` characters at a time, counted as blocks arrive."""
     blocks = _edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
     n = next(blocks)
-    return json.dumps({**analysis.support_stats_blocks(n, (part[:2] for part in blocks)), "wiener": None}) + "\n"
+    return _stats_json(analysis.support_stats_blocks(n, (part[:2] for part in blocks)))

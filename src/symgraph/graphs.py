@@ -17,17 +17,6 @@ import numpy as np
 
 Weight = int | Fraction | float
 
-FAMILY_NAMES = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_loops",
-    "complete_bipartite",
-    "star",
-    "scepter",
-)
-
-
 class WeightedGraph:
     """Symmetric real edge-weight function on n vertices; loops allowed.
 
@@ -204,31 +193,24 @@ def scepter() -> WeightedGraph:
     return WeightedGraph(2, {(1, 1): 1, (1, 2): 1})
 
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "complete_loops": 1,
-    "complete_bipartite": 2,
-    "star": 1,
-    "scepter": 0,
+# name -> (builder, parameter count), in the order the CLI lists them
+_FAMILIES = {
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "complete_loops": (complete_loops, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "star": (star, 1),
+    "scepter": (scepter, 0),
 }
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def family(name: str, *params: int) -> WeightedGraph:
     """Build a named family member; all weights are 1."""
-    if name not in _FAMILY_ARITY:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
-    arity = _FAMILY_ARITY[name]
+    builder, arity = _FAMILIES[name]
     if len(params) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
-    builder = {
-        "path": path,
-        "cycle": cycle,
-        "complete": complete,
-        "complete_loops": complete_loops,
-        "complete_bipartite": complete_bipartite,
-        "star": star,
-        "scepter": scepter,
-    }[name]
     return builder(*params)

@@ -455,12 +455,6 @@ class SymPowerMatrix:
             keep = weights != 0.0
             yield rows[keep], cols[keep], weights[keep]
 
-    def upper_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based (rows, cols) of the nonzero core entries with row <= col,
-        sorted by (row, col): the blocks of :meth:`upper_blocks` joined."""
-        rows, cols, _ = zip(*self.upper_blocks())
-        return np.concatenate(rows), np.concatenate(cols)
-
     def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero pairs of the float matrix with row <= col and their
         weights: the blocks of ``upper_blocks(edges=True)`` joined.

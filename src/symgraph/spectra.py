@@ -146,12 +146,12 @@ def det_formula(det_a: float, n: int, k: int) -> SignLogDet:
     return SignLogDet(sign**e if sign < 0 else 1, e * math.log(abs(det_a)))
 
 
-def sign_log_det(spectrum: Spectrum, zero_tol: float = 0.0) -> SignLogDet:
+def sign_log_det(spectrum: Spectrum) -> SignLogDet:
     """Determinant of the matrix behind a spectrum, as sign and log-magnitude."""
     sign = 1
     logabs = 0.0
     for v in spectrum.values:
-        if abs(v) <= zero_tol:
+        if v == 0:
             return SignLogDet(0, float("-inf"))
         if v < 0:
             sign = -sign
@@ -174,15 +174,19 @@ def spectra_match(a: Spectrum, b: Spectrum) -> bool:
 def exact_determinant(matrix: Iterable[Iterable]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Accepts ints and Fractions; serves as the independent oracle for the
-    determinant power law on rational inputs.
+    Accepts ints and Fractions: the rows are scaled to integers by the
+    common denominator L of the entries, eliminated with exact integer
+    division, and the result is divided by L^n.  Serves as the independent
+    oracle for the determinant power law on rational inputs.
     """
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for c in range(n - 1):
         if m[c][c] == 0:
             pivot = next((r for r in range(c + 1, n) if m[r][c] != 0), None)
@@ -192,7 +196,6 @@ def exact_determinant(matrix: Iterable[Iterable]) -> Fraction:
             sign = -sign
         for r in range(c + 1, n):
             for j in range(c + 1, n):
-                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) / prev
-            m[r][c] = Fraction(0)
+                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) // prev
         prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1], scale**n)

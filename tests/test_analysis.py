@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,58 @@ def test_wiener_disconnected():
 def test_wiener_ignores_weights():
     g = WeightedGraph(3, {(1, 2): 5.0, (2, 3): 0.25})
     assert wiener_index(g) == 4  # hop counts only
+
+
+def _floyd_warshall(g):
+    """Hop distances between all vertex pairs (0-based), inf when unreachable."""
+    d = [[0 if u == v else 1 if g.has_edge(u, v) else math.inf for v in range(1, g.n + 1)] for u in range(1, g.n + 1)]
+    for m in range(g.n):
+        for u in range(g.n):
+            for v in range(g.n):
+                d[u][v] = min(d[u][v], d[u][m] + d[m][v])
+    return d
+
+
+def _two_colourable(g):
+    """Whether some colouring of the vertices in 0 and 1 gives the two ends
+    of every edge, loops included, different colours."""
+    ends = [(u - 1, v - 1) for u, v, _ in g.edges()]
+    return any(all((colours >> u ^ colours >> v) & 1 for u, v in ends) for colours in range(1 << g.n))
+
+
+def test_bfs_invariants_match_floyd_warshall_and_brute_force_colouring():
+    rng = random.Random(2309)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        first = 0 if rng.random() < 0.3 else 1  # loops in about a third of the graphs
+        g = WeightedGraph(n, {(u, v): rng.choice((1, -2, 0.5)) for u in range(1, n + 1)
+                              for v in range(u + first, n + 1) if rng.random() < p})
+        d = _floyd_warshall(g)
+        reachable = [d[u][v] for u in range(n) for v in range(u + 1, n) if d[u][v] < math.inf]
+        count = sum(all(d[u][v] == math.inf for v in range(u)) for u in range(n))
+        if count == 1:
+            assert wiener_index(g) == sum(reachable)
+        else:
+            with pytest.raises(DisconnectedGraphError) as exc:
+                wiener_index(g)
+            assert exc.value.component_count == count
+        assert wiener_within_components(g) == sum(reachable)
+        colourable = _two_colourable(g)
+        assert is_bipartite(g) == colourable
+        seen |= {("connected", count == 1), ("bipartite", colourable), ("loops", count_loops(g) > 0),
+                 ("isolated", any(not g.neighbors(v) for v in range(1, n + 1)))}
+    assert seen == {(name, flag) for name in ("connected", "bipartite", "loops", "isolated") for flag in (False, True)}
+
+
+def test_bfs_touches_only_what_each_source_reaches():
+    # about 0.06 s; a distance list allocated per source makes it quadratic, over 2 s
+    g = WeightedGraph(20000, {(2 * i + 1, 2 * i + 2): 1 for i in range(10000)})
+    start = time.perf_counter()
+    assert is_bipartite(g)
+    assert wiener_within_components(g) == 10000
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -170,6 +170,34 @@ def test_exact_determinant_basics():
     assert exact_determinant([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == 1  # needs pivoting
     with pytest.raises(ValueError):
         exact_determinant([[1, 2]])
+
+
+def _leibniz(m):
+    """The determinant as the signed sum over permutations."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        total += (-1) ** inversions * math.prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def test_exact_determinant_matches_leibniz_on_rational_matrices():
+    rng = random.Random(2309)
+    cases = [
+        [[Fraction(-3, 7)]],
+        [[0, Fraction(1, 2), 2], [0, 3, Fraction(4, 3)], [Fraction(5, 6), 6, 7]],  # zero pivot in column 0
+        [[Fraction(1, 2), 1, 3], [1, 2, 6], [Fraction(2, 3), 5, 1]],  # singular 2x2 corner: pivots at column 1
+    ]
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.7 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            m[-1] = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * x for x in m[0]]  # singular
+        cases.append(m)
+    dets = [exact_determinant(m) for m in cases]
+    assert dets == [_leibniz(m) for m in cases]
+    assert 0 in dets and len({len(m) for m in cases}) == 5
 
 
 def test_spectra_match_rules():
