@@ -183,6 +183,8 @@ def exact_determinant(matrix: Iterable[Iterable]) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    if n == 0:
+        return Fraction(1)  # the empty product
     scale = math.lcm(*(x.denominator for row in rows for x in row))
     m = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     sign = 1

@@ -4,7 +4,10 @@ Each suite compares computed powers against an independent prediction --
 closed forms, brute-force enumeration, or a second kernel -- and returns a
 :class:`SuiteResult` carrying machine-readable failures.  The CLI prints one
 ``FAIL <suite> <case> <expected> <got>`` line per failure and exits nonzero
-when any suite failed.
+when any suite failed.  Suites are deterministic for a given seed: the
+``kernels`` suite spreads its independent graphs over worker processes
+(see :func:`suite_kernels`) but checks their results in case order, so its
+output does not depend on the number of CPUs.
 
 The ``wiener`` suite is special: for complete-graph powers and squared odd
 cycles two printed closed-form readings exist, so the BFS oracle is
@@ -15,6 +18,7 @@ instead of asserting either.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -206,6 +210,38 @@ def _naive_permanent(rows):
     return total
 
 
+def _workers() -> int:
+    """Worker processes for ``suite_kernels``: one per CPU this process may use.
+
+    1 -- one usable CPU, or no ``fork`` start method -- means no pool: the
+    cases then run in-process, one after another.
+    """
+    import multiprocessing
+
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _kernel_case(case: tuple[str, WeightedGraph, int]) -> list[tuple]:
+    """Compare the orbit and permanent cores of one graph for k = 1..kmax.
+
+    Returns one ``(case, None, None)`` per agreement and one
+    ``(case, expected, got)`` per disagreement, so a worker process sends
+    back only the cores that differ.
+    """
+    tag, graph, kmax = case
+    out = []
+    for k in range(1, kmax + 1):
+        a = sym_power(graph, k, method="orbit")
+        b = sym_power(graph, k, method="permanent")
+        expected = (a.denominator, a.core.tolist())
+        got = (b.denominator, b.core.tolist())
+        name = f"{tag}_k{k}"
+        out.append((name, None, None) if expected == got else (name, expected, got))
+    return out
+
+
 def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Exact agreement of the orbit-sum and permanent kernels.
 
@@ -213,6 +249,11 @@ def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     seeded random rational-weight graphs, for every k up to kmax, comparing
     the integer/rational cores entry for entry.  Also checks Ryser against
     the naive factorial-time permanent.
+
+    The graphs are independent, so they are spread over ``_workers()``
+    forked processes (in-process when that is 1); the results are checked
+    in case order, so check counts and failure lines do not depend on the
+    number of CPUs.
     """
     res = SuiteResult("kernels")
     rng = random.Random(seed)
@@ -223,22 +264,31 @@ def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
     res.check("ryser_vs_naive_frac", _naive_permanent(rows), ryser_permanent(rows))
 
-    def compare(tag: str, graph: WeightedGraph) -> None:
-        for k in range(1, kmax + 1):
-            a = sym_power(graph, k, method="orbit")
-            b = sym_power(graph, k, method="permanent")
-            res.check(f"{tag}_k{k}", (a.denominator, a.core.tolist()), (b.denominator, b.core.tolist()))
-
+    cases = []
     for n in range(1, nmax + 1):
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
         for bits in range(1 << len(pairs)):
             weights = {pairs[i]: 1 for i in range(len(pairs)) if bits >> i & 1}
-            compare(f"graph_n{n}_b{bits}", WeightedGraph(n, weights))
-
+            cases.append((f"graph_n{n}_b{bits}", WeightedGraph(n, weights), kmax))
     for g in range(25):
         n = rng.randint(2, nmax)
-        graph = random_rational_graph(rng, n)
-        compare(f"rational_{g}_n{n}", graph)
+        cases.append((f"rational_{g}_n{n}", random_rational_graph(rng, n), kmax))
+
+    workers = _workers()
+    if workers == 1:
+        outcomes = list(map(_kernel_case, cases))
+    else:
+        # imported here: the pool modules would add to every CLI start-up;
+        # forked workers start with the parent's modules already imported
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, len(cases) // (8 * workers))
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(_kernel_case, cases, chunksize=chunk))
+    for case_outcomes in outcomes:
+        for case, expected, got in case_outcomes:
+            res.check(case, expected, got)
     return res
 
 

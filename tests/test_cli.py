@@ -411,18 +411,35 @@ def test_streamed_stats_equals_the_whole_file_stats_in_any_block_size(capsys, mo
 
 
 def _peak_mb(argv, stdout=None) -> float:
-    """Peak RSS of a child process in MB, from ``os.wait4``."""
+    """Peak RSS of a child process in MB, from ``os.wait4``.
+
+    The child is started by a small launcher process, which reports the
+    figure: ``ru_maxrss`` keeps the high-water mark of the memory a process
+    had before its ``exec``, so a child started straight from the test
+    process would report at least the test process's own peak.
+    """
     import os
     import subprocess
     import sys
     from pathlib import Path
 
+    launcher = (
+        "import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:]); "
+        "_, status, usage = os.wait4(child.pid, 0); "
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(symgraph.cli.__file__).parents[1]))
     with open(os.devnull, "wb") if stdout is None else open(stdout, "wb") as out:
-        child = subprocess.Popen([sys.executable, "-c", *argv], stdout=out, env=env)
-        _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0, argv
-    return usage.ru_maxrss / 1024
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-c", *argv],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    status, maxrss = done.stderr.split()[-2:]
+    assert status == "0", (argv, done.stderr)
+    return int(maxrss) / 1024
 
 
 def test_dense_power_and_stats_run_in_bounded_memory(tmp_path):
@@ -436,6 +453,15 @@ def test_dense_power_and_stats_run_in_bounded_memory(tmp_path):
     stats_mb = _peak_mb([shim, "stats", str(power)])
     assert power.stat().st_size > 18_000_000
     assert power_mb <= bare + 30 and stats_mb <= bare + 30, (bare, power_mb, stats_mb)
+
+
+def test_verify_kernels_runs_in_bounded_memory():
+    # the kernels suite's workers send back only the cases that disagree, so
+    # the process tree (wait4 reports its largest member) stays near a bare import
+    shim = "import sys; from symgraph.cli import main; sys.exit(main())"
+    bare = _peak_mb(["import symgraph.cli"])
+    verify_mb = _peak_mb([shim, "verify", "--suite", "kernels"])
+    assert verify_mb <= bare + 20, (bare, verify_mb)
 
 
 def test_power_past_the_core_bytes_budget_exit_code(tmp_path, capsys, monkeypatch):

@@ -163,6 +163,7 @@ def test_det_exact_oracle_random():
 
 
 def test_exact_determinant_basics():
+    assert exact_determinant([]) == 1 and isinstance(exact_determinant([]), Fraction)
     assert exact_determinant([[2]]) == 2
     assert exact_determinant([[1, 2], [3, 4]]) == -2
     assert exact_determinant([[0, 1], [1, 0]]) == -1

@@ -1,5 +1,9 @@
+import dataclasses
+
 import pytest
 
+from symgraph import verify
+from symgraph.graphs import WeightedGraph
 from symgraph.verify import (
     Failure,
     SuiteResult,
@@ -8,6 +12,7 @@ from symgraph.verify import (
     random_graph01,
     random_rational_graph,
     run_suites,
+    suite_kernels,
     suite_wiener,
 )
 from symgraph.analysis import components, is_bipartite
@@ -68,3 +73,74 @@ def test_family_graphs_cover_names():
     assert any(t.startswith("path") for t in tags)
     assert any(t.startswith("complete_bipartite") for t in tags)
     assert all(g.n <= 4 or tag.startswith("complete_bipartite") for tag, g in family_graphs(4))
+
+
+def _kernels_on_both_paths(monkeypatch):
+    """suite_kernels(nmax=3, kmax=3) run in-process and on a pool of two."""
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(verify, "_workers", lambda: workers)
+        results.append(suite_kernels(nmax=3, kmax=3))
+    return results
+
+
+def test_kernels_suite_is_the_same_in_process_and_on_a_pool(monkeypatch):
+    inline, pooled = _kernels_on_both_paths(monkeypatch)
+    assert inline.ok and pooled.ok
+    assert inline.checks == pooled.checks == 5 + (2 + 8 + 64 + 25) * 3
+
+    # plant two disagreements: the permanent core of (graph_n2_b3, k=2) and
+    # of (graph_n3_b0, k=3) is off by one; forked workers inherit the patch
+    real = verify.sym_power
+    planted = [(WeightedGraph(2, {(1, 1): 1, (1, 2): 1}), 2), (WeightedGraph(3, {}), 3)]
+
+    def off_by_one(graph, k, method="permanent", **kwargs):
+        power = real(graph, k, method=method, **kwargs)
+        if method == "permanent" and (graph, k) in planted:
+            core = power.core.copy()
+            core[0, 0] += 1
+            power = dataclasses.replace(power, core=core)
+        return power
+
+    monkeypatch.setattr(verify, "sym_power", off_by_one)
+    inline, pooled = _kernels_on_both_paths(monkeypatch)
+    assert inline.checks == pooled.checks == 5 + (2 + 8 + 64 + 25) * 3
+    lines = [f.line() for f in inline.failures]
+    assert lines == [f.line() for f in pooled.failures]
+    assert [f.case for f in inline.failures] == ["graph_n2_b3_k2", "graph_n3_b0_k3"]
+    zeros = [[0] * 10] * 10  # the empty graph on 3 vertices, k = 3: N = 10
+    one_off = [[1] + [0] * 9] + zeros[1:]
+    payloads = [str((1, core)).replace(" ", "") for core in (zeros, one_off)]
+    assert lines[1] == " ".join(["FAIL kernels graph_n3_b0_k3", *payloads])
+
+
+class PlantedError(Exception):
+    pass
+
+
+def test_an_error_in_a_kernel_case_reaches_the_caller_on_both_paths(monkeypatch):
+    real = verify.sym_power
+
+    def fail_on_rationals(graph, k, **kwargs):
+        if any(w != int(w) for _, _, w in graph.edges()):
+            raise PlantedError(f"planted at n={graph.n} k={k}")
+        return real(graph, k, **kwargs)
+
+    monkeypatch.setattr(verify, "sym_power", fail_on_rationals)
+    for workers in (1, 2):
+        monkeypatch.setattr(verify, "_workers", lambda: workers)
+        with pytest.raises(PlantedError, match="planted at n="):
+            suite_kernels(nmax=3, kmax=3)
+
+
+def test_workers_is_one_per_usable_cpu_and_one_without_fork(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    assert verify._workers() == 3
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {1})
+    assert verify._workers() == 1
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert verify._workers() == 1
