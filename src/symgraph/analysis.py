@@ -30,7 +30,7 @@ import numpy as np
 
 from .combinatorics import VertexMultiset, multiset_count, orbit_size
 from .exact import ExactWeight
-from .graphs import WeightedGraph, cycle
+from .graphs import WeightedGraph, cycle, edge_arrays
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,6 @@ class ComponentStructure:
 
     def component_of(self, v: int) -> int:
         return self.assignment[v - 1]
-
-
-def support_arrays(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """1-based ends (u <= v) of the graph's weighted pairs, sorted, as int64."""
-    pairs = np.array([(u, v) for u, v, _ in graph.edges()], dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
 
 
 def _roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -126,7 +120,7 @@ def support_stats_blocks(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
 
 def components(graph: WeightedGraph) -> ComponentStructure:
     """Connected components of the unweighted support; loops are ignored."""
-    ids = _component_ids(graph.n, *support_arrays(graph))
+    ids = _component_ids(graph.n, *edge_arrays(graph)[:2])
     sizes = np.bincount(ids)
     by_component = (np.argsort(ids, kind="stable") + 1).tolist()
     bounds = np.cumsum(sizes).tolist()
@@ -153,7 +147,7 @@ def degree(graph: WeightedGraph, v: int) -> int:
 
 def degree_sequence(graph: WeightedGraph) -> list[int]:
     """Degrees of all vertices in one pass (same convention as degree)."""
-    return _degrees(graph.n, *support_arrays(graph))[1:].tolist()
+    return _degrees(graph.n, *edge_arrays(graph)[:2])[1:].tolist()
 
 
 def edge_count(graph: WeightedGraph) -> int:

@@ -9,7 +9,9 @@ matrix built by this package.  Two listing orders are supported:
   then every remaining tuple in lexicographic order.
 
 Ranking and unranking use combinadic arithmetic, never a walk over the full
-enumeration, so they stay O(n * k) per call.
+enumeration: :func:`rank` and lex :func:`unrank` take O(n + k) loop steps,
+one binomial each, and paper-order :func:`unrank` tries up to n first
+entries at O(n + k) steps each, O(n * (n + k)) in all.
 """
 
 from __future__ import annotations

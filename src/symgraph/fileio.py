@@ -35,7 +35,7 @@ import numpy as np
 
 from . import analysis
 from .exact import ExactWeight
-from .graphs import WeightedGraph, adjacency_matrix
+from .graphs import WeightedGraph, adjacency_matrix, edge_arrays
 from .spectra import eigenvalues_symmetric
 
 
@@ -530,8 +530,7 @@ def write_edges(n: int, u, v, weights) -> str:
 
 def write_graph(graph: WeightedGraph) -> str:
     """Render a graph in the edge-list format (sorted pairs, deterministic)."""
-    edges = graph.edges()
-    return write_edges(graph.n, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges])
+    return write_edges(graph.n, *edge_arrays(graph))
 
 
 def _dot_quote(s: str) -> str:
@@ -579,7 +578,7 @@ def write_stats_json(
     values = None
     if spectrum:
         values = list(eigenvalues_symmetric(adjacency_matrix(graph), tol=tol).values)
-    counts = analysis.support_stats_blocks(graph.n, [analysis.support_arrays(graph)])
+    counts = analysis.support_stats_blocks(graph.n, [edge_arrays(graph)[:2]])
     return _stats_json(counts, wiener_value, values)
 
 

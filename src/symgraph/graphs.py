@@ -46,6 +46,8 @@ class WeightedGraph:
                 raise ValueError(f"vertex pair ({u}, {v}) out of range 1..{n}")
             if isinstance(w, float) and not math.isfinite(w):
                 raise ValueError(f"weight for ({u}, {v}) is not finite: {w}")
+            if isinstance(w, np.integer):  # a numpy int would make the graph read as float
+                w = int(w)
             key = (u, v) if u <= v else (v, u)
             if key in store and store[key] != w:
                 raise ValueError(f"conflicting weights for pair {key}")
@@ -94,27 +96,14 @@ class WeightedGraph:
 
     def weight_rows(self) -> list[list[Weight]]:
         """Dense adjacency as nested lists, preserving exact weight types."""
-        rows: list[list[Weight]] = [[0] * self.n for _ in range(self.n)]
-        for (u, v), w in self._weights.items():
-            rows[u - 1][v - 1] = w
-            rows[v - 1][u - 1] = w
-        return rows
+        return dense_matrix(self.n, *edge_arrays(self), object).tolist()
 
     @staticmethod
     def from_matrix(matrix, labels: Sequence[str] | None = None) -> "WeightedGraph":
         """Build a graph from a dense symmetric matrix (exact symmetry required)."""
-        rows = [list(row) for row in matrix]
+        rows = symmetric_rows(matrix)
         n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
-        weights = {}
-        for u in range(n):
-            for v in range(u, n):
-                if rows[u][v] != rows[v][u]:
-                    raise ValueError(f"matrix not symmetric at ({u + 1}, {v + 1})")
-                if rows[u][v] != 0:
-                    weights[(u + 1, v + 1)] = rows[u][v]
-        return WeightedGraph(n, weights, labels)
+        return WeightedGraph(n, ((u + 1, v + 1, rows[u][v]) for u in range(n) for v in range(u, n)), labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -130,13 +119,41 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={len(self._weights)})"
 
 
+def symmetric_rows(matrix) -> list[list]:
+    """The rows of a square symmetric matrix as lists, numpy scalars as
+    Python numbers; ValueError names the first asymmetric pair."""
+    rows = [[x.item() if isinstance(x, np.generic) else x for x in row] for row in matrix]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("adjacency matrix must be square")
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rows[u][v] != rows[v][u]:
+                raise ValueError(f"adjacency matrix not symmetric at ({u + 1}, {v + 1})")
+    return rows
+
+
+def edge_arrays(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph's weighted pairs, sorted: 1-based ends u <= v as int64 and
+    an object array of the weights as stored."""
+    pairs = sorted(graph._weights)
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return u, v, np.array([graph._weights[p] for p in pairs], dtype=object)
+
+
+def dense_matrix(n: int, u: np.ndarray, v: np.ndarray, w, dtype) -> np.ndarray:
+    """The symmetric n x n matrix in ``dtype`` with w at each 1-based (u, v)
+    and (v, u), zero elsewhere (Python int 0 in an object matrix)."""
+    a = np.zeros((n, n), dtype=dtype)
+    i, j = u - 1, v - 1
+    a[i, j] = w
+    a[j, i] = w
+    return a
+
+
 def adjacency_matrix(graph: WeightedGraph) -> np.ndarray:
     """Dense symmetric n x n float adjacency matrix of the graph."""
-    a = np.zeros((graph.n, graph.n))
-    for u, v, w in graph.edges():
-        a[u - 1, v - 1] = w
-        a[v - 1, u - 1] = w
-    return a
+    return dense_matrix(graph.n, *edge_arrays(graph), np.float64)
 
 
 # -- named families ---------------------------------------------------------

@@ -56,7 +56,7 @@ from .combinatorics import (
     rank,
 )
 from .exact import ExactWeight
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, dense_matrix, edge_arrays, symmetric_rows
 
 METHODS = ("orbit", "permanent")
 
@@ -205,18 +205,6 @@ def ryser_permanent(matrix, cap: int = PERMANENT_CAP_DEFAULT):
 # ---------------------------------------------------------------------------
 
 
-def _as_rows(matrix) -> list[list]:
-    rows = [[x.item() if isinstance(x, np.generic) else x for x in row] for row in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("adjacency matrix must be square")
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rows[u][v] != rows[v][u]:
-                raise ValueError(f"adjacency matrix not symmetric at ({u + 1}, {v + 1})")
-    return rows
-
-
 def _rows_rational(rows: list[list]) -> bool:
     return all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for r in rows for x in r)
 
@@ -236,7 +224,7 @@ def entry_orbit_sum(matrix, i: VertexMultiset, j: VertexMultiset):
     |orbit(i)| * |orbit(j)| * k.  Returns an :class:`ExactWeight` when the
     matrix is rational, a float otherwise.
     """
-    rows = _as_rows(matrix)
+    rows = symmetric_rows(matrix)
     _check_pair(rows, i, j)
     total = 0
     for p in enumerate_orbit(i):
@@ -262,7 +250,7 @@ def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset, cap: int = PER
     collapses to perm(B) / sqrt(prod of multiplicity factorials), where
     B[a][b] = matrix[i_a][j_b].
     """
-    rows = _as_rows(matrix)
+    rows = symmetric_rows(matrix)
     _check_pair(rows, i, j)
     k = i.k
     if k > cap:
@@ -348,26 +336,15 @@ def _core_linear_forms(a: np.ndarray, n: int, k: int, order: str) -> np.ndarray:
     return coef
 
 
-def _scaled_int_rows(rows: list[list]) -> tuple[list[list[int]], int]:
-    """Clear denominators: returns integer rows and the common scale L."""
-    scale = 1
-    for r in rows:
-        for x in r:
-            if isinstance(x, Fraction):
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    scaled = [[int(x * scale) for x in r] for r in rows]
-    return scaled, scale
-
-
-def _int64_bound(method: str, k: int, int_rows: list[list[int]], d_max: int) -> int:
-    """Largest absolute value any int64 intermediate of the core can reach."""
+def _int64_bound(method: str, k: int, scaled: np.ndarray, d_max: int) -> int:
+    """Largest absolute value any int64 intermediate of the core can reach,
+    for the integer matrix ``scaled`` held as Python ints."""
+    magnitude = np.abs(scaled)
     if method == "orbit":
         # d_max^2 rearrangement pairs per entry, each a product of k weights
-        w_max = max((abs(x) for r in int_rows for x in r), default=0) or 1
-        return d_max * d_max * w_max**k
+        return d_max * d_max * (magnitude.max() or 1) ** k
     # linear forms: a degree-d row's coefficients sum to at most r^d in absolute value
-    r = max(sum(abs(x) for x in row) for row in int_rows)
-    return d_max * r**k
+    return d_max * magnitude.sum(axis=1).max() ** k
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,18 +486,19 @@ def sym_power(
             f"more than its cap {_ORDERED_TABLE_CAP}; use the permanent kernel"
         )
     tuples, sizes = _index_data(n, k, order)
-    rows = graph.weight_rows()
+    u, v, w = edge_arrays(graph)
     exact = graph.is_rational
     denominator = 1
     if exact:
-        int_rows, scale = _scaled_int_rows(rows)
+        scale = math.lcm(*(x.denominator for x in w))
         denominator = scale**k
-        fits = _int64_bound(method, k, int_rows, max(sizes)) < _INT64_SAFE
+        a = dense_matrix(n, u, v, w * scale // 1, object)  # Fraction // 1 is an int
+        fits = _int64_bound(method, k, a, max(sizes)) < _INT64_SAFE
         path = "int64" if fits else "object"
-        a = np.array(int_rows, dtype=path)
+        a = a.astype(path)
     else:
         path = "float64"
-        a = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
+        a = dense_matrix(n, u, v, w, np.float64)
     # the bytes of an int64 core at the dimension budget bound every core;
     # only an object core, past 8 bytes an entry, can take more
     need, allowed = _OBJECT_ENTRY_BYTES * big * big, 8 * cap * cap

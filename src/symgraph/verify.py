@@ -28,6 +28,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from . import analysis
+from .cli import SUITES
 from .combinatorics import (
     VertexMultiset,
     enumerate_multisets,
@@ -66,16 +67,6 @@ from .spectra import (
     sign_log_det,
     spectra_match,
     trace_formula,
-)
-
-SUITES = (
-    "kernels",
-    "spectra",
-    "subgraph",
-    "components",
-    "degrees",
-    "wiener",
-    "permutation",
 )
 
 DEFAULT_SEED = 7
@@ -421,32 +412,17 @@ def suite_subgraph(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED, graph
 
 
 def _component_signature(graph: WeightedGraph, members: tuple[int, ...]):
-    """Classify one component as complete-with-loops or complete bipartite."""
-    size = len(members)
-    if all(graph.has_edge(u, v) for i, u in enumerate(members) for v in members[i:]):
-        return ("complete_loops", size)
-    if any(graph.has_edge(v, v) for v in members):
-        return ("other", size)
-    color = {members[0]: 0}
-    queue = [members[0]]
-    while queue:
-        u = queue.pop()
-        for w in members:
-            if graph.has_edge(u, w):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return ("other", size)
-    if len(color) != size:
-        return ("other", size)
-    part0 = [v for v in members if color[v] == 0]
-    part1 = [v for v in members if color[v] == 1]
-    complete_cross = all(graph.has_edge(u, w) for u in part0 for w in part1)
-    if not complete_cross:
-        return ("other", size)
-    a, b = sorted((len(part0), len(part1)))
-    return ("complete_bipartite", a, b)
+    """Classify one component as complete with loops, complete bipartite
+    (between the first vertex's neighbours and the rest) or other."""
+    at = np.array(members) - 1
+    adjacent = adjacency_matrix(graph)[np.ix_(at, at)] != 0
+    if adjacent.all():
+        return ("complete_loops", len(members))
+    side = adjacent[0]
+    if np.array_equal(adjacent, side[:, None] != side[None, :]):
+        a, b = sorted((len(members) - int(side.sum()), int(side.sum())))
+        return ("complete_bipartite", a, b)
+    return ("other", len(members))
 
 
 def suite_components(nmax: int = 8, kmax: int = 5, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -735,17 +711,6 @@ def suite_permutation(nmax: int = 5, kmax: int = 3, seed: int = DEFAULT_SEED) ->
     return res
 
 
-_SUITE_FUNCS = {
-    "kernels": suite_kernels,
-    "spectra": suite_spectra,
-    "subgraph": suite_subgraph,
-    "components": suite_components,
-    "degrees": suite_degrees,
-    "wiener": suite_wiener,
-    "permutation": suite_permutation,
-}
-
-
 def run_suites(
     names: list[str] | str = "all",
     nmax: int | None = None,
@@ -759,7 +724,7 @@ def run_suites(
         names = [names]
     results = []
     for name in names:
-        if name not in _SUITE_FUNCS:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITES + ('all',)}")
         kwargs = {}
         if nmax is not None:
@@ -769,7 +734,7 @@ def run_suites(
         if seed is not None:
             kwargs["seed"] = seed
         start = time.perf_counter()
-        result = _SUITE_FUNCS[name](**kwargs)
+        result = globals()[f"suite_{name}"](**kwargs)  # each name in SUITES has its suite_<name>
         result.seconds = time.perf_counter() - start
         results.append(result)
     return results

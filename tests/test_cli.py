@@ -213,6 +213,20 @@ def test_verify_unknown_suite(capsys):
     assert exc.value.code == 2
 
 
+def test_importing_the_cli_leaves_the_verify_module_out():
+    # only the verify command needs symgraph.verify, so no other command's
+    # start-up pays for importing it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(symgraph.cli.__file__).parents[1]))
+    code = "import sys, symgraph.cli; print('symgraph.verify' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_unknown_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stats", "--frobnicate"])

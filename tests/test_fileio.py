@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -455,6 +456,8 @@ def test_write_graph_deterministic():
     out = write_graph(g)
     assert out == "3\n1 2 2.5\n2 3 1\n"
     assert write_graph(parse_graph(out)) == out
+    assert write_graph(WeightedGraph(2, {(1, 2): Fraction(1, 4), (1, 1): 2**70})) == f"2\n1 1 {2**70}\n1 2 0.25\n"
+    assert write_graph(WeightedGraph(2)) == "2\n"
 
 
 def test_dot_output():

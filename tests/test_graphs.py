@@ -57,6 +57,23 @@ def test_is_rational():
     assert not WeightedGraph(2, {(1, 2): 0.5}).is_rational
 
 
+def test_numpy_integer_weights_are_stored_as_python_ints():
+    # an np.int64 weight made the graph read as float: the power ran in
+    # float64 and the file said 1.0, though the graph equals the int one
+    from symgraph.fileio import write_graph
+    from symgraph.power import sym_power
+
+    from_numpy = (
+        WeightedGraph.from_matrix(np.array([[0, 1], [1, 2]])),
+        WeightedGraph(2, {(1, 2): np.int64(1), (2, 2): np.int32(2)}),
+    )
+    for g in from_numpy:
+        assert g == WeightedGraph(2, {(1, 2): 1, (2, 2): 2})
+        assert g.is_rational and [type(w) for _, _, w in g.edges()] == [int, int]
+        assert sym_power(g, 2).path == "int64"
+        assert write_graph(g) == "2\n1 2 1\n2 2 2\n"
+
+
 def test_adjacency_matrix_golden():
     assert np.array_equal(
         adjacency_matrix(complete(3)),

@@ -8,7 +8,7 @@ import pytest
 
 from symgraph.combinatorics import VertexMultiset, enumerate_multisets, orbit_size, rank
 from symgraph.exact import ExactWeight
-from symgraph.graphs import WeightedGraph, complete, complete_loops, path, scepter, star
+from symgraph.graphs import WeightedGraph, adjacency_matrix, complete, complete_loops, path, scepter, star
 from symgraph.power import (
     PermanentCapError,
     SizeBudgetError,
@@ -216,12 +216,26 @@ def test_scepter_powers_golden(k):
 
 
 def test_power_k1_is_adjacency():
-    for g in (scepter(), path(4), complete(3)):
+    # the readouts of mixed weights, each against the graph read pair by pair
+    cases = [
+        (scepter(), "int64", 1),
+        (path(4), "int64", 1),
+        (complete(3), "int64", 1),
+        (WeightedGraph(3, {(1, 1): 2, (1, 2): Fraction(1, 3), (2, 3): Fraction(-3, 4)}), "int64", 12),
+        (WeightedGraph(3, {(1, 2): 1, (2, 2): 0.5, (1, 3): -2}), "float64", 1),
+        (WeightedGraph(2, {(1, 1): 2**70, (1, 2): 3}), "object", 1),
+        (WeightedGraph(2), "int64", 1),
+    ]
+    for g, want_path, denominator in cases:
+        rows = [[g.weight(u, v) for v in range(1, g.n + 1)] for u in range(1, g.n + 1)]
         power = sym_power(g, 1)
-        assert [[power.core_entry(i, j) for j in range(power.dim)] for i in range(power.dim)] == [
-            [g.weight(u, v) for v in range(1, g.n + 1)] for u in range(1, g.n + 1)
-        ]
+        assert [[power.core_entry(i, j) for j in range(power.dim)] for i in range(power.dim)] == rows
         assert all(d == 1 for d in power.orbit_sizes)
+        assert (power.path, power.denominator) == (want_path, denominator)
+        assert power.core.tolist() == [[x * denominator for x in row] for row in rows]
+        assert g.weight_rows() == rows
+        assert [list(map(type, row)) for row in g.weight_rows()] == [list(map(type, row)) for row in rows]
+        assert adjacency_matrix(g).tolist() == [[float(x) for x in row] for row in rows]
 
 
 def test_power_symmetry_and_dims():

@@ -144,3 +144,26 @@ def test_workers_is_one_per_usable_cpu_and_one_without_fork(monkeypatch):
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert verify._workers() == 1
+
+
+def test_component_signature_on_hand_built_components():
+    # shapes the components suite never meets: loops, odd cycles and
+    # bipartite components that are not complete
+    def signature(n, pairs):
+        return verify._component_signature(WeightedGraph(n, {pair: 1 for pair in pairs}), tuple(range(1, n + 1)))
+
+    assert signature(1, []) == ("complete_bipartite", 0, 1)
+    assert signature(1, [(1, 1)]) == ("complete_loops", 1)
+    assert signature(2, [(1, 2)]) == ("complete_bipartite", 1, 1)
+    k23 = [(u, v) for u in (1, 2) for v in (3, 4, 5)]
+    assert signature(5, k23) == ("complete_bipartite", 2, 3)
+    k32 = [(u, v) for u in (1, 3, 5) for v in (2, 4)]  # the first vertex on the larger side
+    assert signature(5, k32) == ("complete_bipartite", 2, 3)
+    assert signature(3, [(1, 2), (2, 3), (1, 3)]) == ("other", 3)
+    assert signature(4, [(1, 2), (2, 3), (3, 4)]) == ("other", 4)
+    assert signature(4, [(1, 3), (1, 4), (2, 3)]) == ("other", 4)  # K_{2,2} minus the edge 2 -- 4
+    assert signature(2, [(1, 2), (2, 2)]) == ("other", 2)
+    # a component inside a larger graph is read on its own vertices
+    graph = WeightedGraph(6, {(2, 5): 1, (5, 6): 1, (1, 1): 1})
+    assert verify._component_signature(graph, (2, 5, 6)) == ("complete_bipartite", 1, 2)
+    assert verify._component_signature(graph, (1,)) == ("complete_loops", 1)
