@@ -140,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_power.set_defaults(func=_cmd_power)
 
     p_spectrum = sub.add_parser("spectrum", help="eigenvalues, one per line, sorted")
-    p_spectrum.add_argument("--tol", type=float, default=1e-8)
+    p_spectrum.add_argument("--tol", type=float, default=1e-8,
+                            help="kept for existing invocations; it does not change the printed "
+                            "eigenvalues, since eigvalsh takes no tolerance")
     p_spectrum.add_argument("input", nargs="?", default="-", metavar="INPUT")
     p_spectrum.set_defaults(func=_cmd_spectrum)
 
@@ -169,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "power" and args.k < 1:
         parser.error(f"power exponent must be >= 1, got {args.k}")
-    if getattr(args, "nmax", None) is not None and args.nmax < 1:
-        parser.error("--nmax must be >= 1")
+    if getattr(args, "nmax", None) is not None and args.nmax < 2:
+        parser.error("--nmax must be >= 2")
     if getattr(args, "kmax", None) is not None and args.kmax < 1:
         parser.error("--kmax must be >= 1")
     try:

@@ -558,12 +558,7 @@ def _stats_json(counts: dict[str, object], wiener: int | None = None, spectrum: 
     return json.dumps(stats) + "\n"
 
 
-def write_stats_json(
-    graph: WeightedGraph,
-    wiener: bool = False,
-    spectrum: bool = False,
-    tol: float = 1e-8,
-) -> str:
+def write_stats_json(graph: WeightedGraph, wiener: bool = False, spectrum: bool = False) -> str:
     """Summary statistics as JSON with a fixed key order.
 
     ``wiener`` is null unless requested on a connected graph; ``spectrum`` is
@@ -577,7 +572,7 @@ def write_stats_json(
             wiener_value = None
     values = None
     if spectrum:
-        values = list(eigenvalues_symmetric(adjacency_matrix(graph), tol=tol).values)
+        values = list(eigenvalues_symmetric(adjacency_matrix(graph)).values)
     counts = analysis.support_stats_blocks(graph.n, [edge_arrays(graph)[:2]])
     return _stats_json(counts, wiener_value, values)
 

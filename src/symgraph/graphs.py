@@ -46,7 +46,9 @@ class WeightedGraph:
                 raise ValueError(f"vertex pair ({u}, {v}) out of range 1..{n}")
             if isinstance(w, float) and not math.isfinite(w):
                 raise ValueError(f"weight for ({u}, {v}) is not finite: {w}")
-            if isinstance(w, np.integer):  # a numpy int would make the graph read as float
+            # bools and numpy ints become Python ints, which every layer reads as
+            # rational; plain ints and floats skip the slower isinstance test
+            if type(w) not in (int, float) and isinstance(w, (bool, np.bool_, np.integer)):
                 w = int(w)
             key = (u, v) if u <= v else (v, u)
             if key in store and store[key] != w:
@@ -101,8 +103,12 @@ class WeightedGraph:
     @staticmethod
     def from_matrix(matrix, labels: Sequence[str] | None = None) -> "WeightedGraph":
         """Build a graph from a dense symmetric matrix (exact symmetry required)."""
-        rows = symmetric_rows(matrix)
+        rows = square_rows(matrix)
         n = len(rows)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rows[u][v] != rows[v][u]:
+                    raise ValueError(f"adjacency matrix not symmetric at ({u + 1}, {v + 1})")
         return WeightedGraph(n, ((u + 1, v + 1, rows[u][v]) for u in range(n) for v in range(u, n)), labels)
 
     def __eq__(self, other) -> bool:
@@ -119,17 +125,11 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={len(self._weights)})"
 
 
-def symmetric_rows(matrix) -> list[list]:
-    """The rows of a square symmetric matrix as lists, numpy scalars as
-    Python numbers; ValueError names the first asymmetric pair."""
+def square_rows(matrix) -> list[list]:
+    """The rows of a square matrix as lists, numpy scalars as Python numbers."""
     rows = [[x.item() if isinstance(x, np.generic) else x for x in row] for row in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("adjacency matrix must be square")
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rows[u][v] != rows[v][u]:
-                raise ValueError(f"adjacency matrix not symmetric at ({u + 1}, {v + 1})")
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
     return rows
 
 

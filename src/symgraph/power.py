@@ -24,6 +24,12 @@ Two independent kernels fill the core:
                    ``ryser_permanent`` and ``entry_permanent`` evaluate that
                    permanent per entry and serve as the oracle.
 
+The per-entry oracles ``entry_orbit_sum`` and ``entry_permanent`` take any
+square matrix, symmetric or not, since Sym^k(A) is defined for every square
+A; the permutation suite feeds them permutation matrices.  The one size
+setting is the ``SYMTENSOR_MAX_N`` environment variable (default 5000),
+the budget on the power dimension N.
+
 Rational input is scaled to integers by the common denominator L first, and
 either kernel runs on the scaled matrix in int64 while a bound on every
 intermediate stays below 2^62, on Python ints (``dtype=object``) past it.  The
@@ -56,17 +62,20 @@ from .combinatorics import (
     rank,
 )
 from .exact import ExactWeight
-from .graphs import WeightedGraph, dense_matrix, edge_arrays, symmetric_rows
+from .graphs import WeightedGraph, dense_matrix, edge_arrays, square_rows
 
 METHODS = ("orbit", "permanent")
 
-PERMANENT_CAP_DEFAULT = 20  # Ryser walks 2^k subsets; beyond this, refuse
+PERMANENT_CAP = 20  # Ryser walks 2^k subsets; beyond this, refuse
 DEFAULT_MAX_DIM = 5000
 MAX_DIM_ENV = "SYMTENSOR_MAX_N"
 
 # the orbit kernel tabulates all n^k ordered tuples; past this size it refuses
 # before allocating, as its double sum would take over (n^k)^2 / 2 products
 _ORDERED_TABLE_CAP = 2_000_000
+
+# ordered tuples the orbit kernel pairs with one row's orbit at a time
+_ORBIT_CHUNK = 8192
 
 _INT64_SAFE = 2**62
 
@@ -108,19 +117,13 @@ def _index_data(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ...]
     return tuples, sizes
 
 
-@lru_cache(maxsize=8)
-def _orbit_arrays(n: int, k: int, order: str) -> tuple[np.ndarray, ...]:
-    """0-based orbit index arrays, one (D_i, k) array per sorted tuple."""
-    tuples, _ = _index_data(n, k, order)
-    return tuple(
-        np.array(enumerate_orbit(VertexMultiset(t, n)), dtype=np.int64) - 1 for t in tuples
-    )
-
-
 @lru_cache(maxsize=4)
-def _ordered_table(n: int, k: int, order: str) -> tuple[np.ndarray, np.ndarray]:
-    """All n^k ordered tuples (0-based) and the rank of each tuple's sorted form."""
-    tuples, _ = _index_data(n, k, order)
+def _ordered_table(n: int, k: int, order: str) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """All n^k ordered tuples (0-based) in lexicographic order, the rank of
+    each tuple's sorted form, and the orbit of each rank: a (D_i, k) array
+    of its ordered tuples, in lexicographic order as ``enumerate_orbit``
+    lists them."""
+    tuples, sizes = _index_data(n, k, order)
     rank_by_tuple = {t: i for i, t in enumerate(tuples)}
     ordered = np.empty((n**k, k), dtype=np.int64)
     ranks = np.empty(n**k, dtype=np.int64)
@@ -128,7 +131,9 @@ def _ordered_table(n: int, k: int, order: str) -> tuple[np.ndarray, np.ndarray]:
         ordered[idx] = q
         ranks[idx] = rank_by_tuple[tuple(sorted(q))]
     ordered -= 1
-    return ordered, ranks
+    # a stable sort keeps each orbit's tuples in lexicographic order
+    orbits = np.split(ordered[np.argsort(ranks, kind="stable")], np.cumsum(sizes)[:-1])
+    return ordered, ranks, tuple(orbits)
 
 
 @lru_cache(maxsize=8)
@@ -189,14 +194,14 @@ def _ryser(rows: Sequence[Sequence]):
     return total if k % 2 == 0 else -total
 
 
-def ryser_permanent(matrix, cap: int = PERMANENT_CAP_DEFAULT):
-    """Permanent of a square matrix; refuses k > cap (2^k subset walk)."""
+def ryser_permanent(matrix):
+    """Permanent of a square matrix; refuses k > PERMANENT_CAP (2^k subset walk)."""
     rows = [list(r) for r in matrix]
     k = len(rows)
     if k == 0 or any(len(r) != k for r in rows):
         raise ValueError("permanent needs a nonempty square matrix")
-    if k > cap:
-        raise PermanentCapError(f"matrix size {k} exceeds the permanent cap {cap}")
+    if k > PERMANENT_CAP:
+        raise PermanentCapError(f"matrix size {k} exceeds the permanent cap {PERMANENT_CAP}")
     return _ryser(rows)
 
 
@@ -217,18 +222,20 @@ def _check_pair(rows: list[list], i: VertexMultiset, j: VertexMultiset) -> None:
 
 
 def entry_orbit_sum(matrix, i: VertexMultiset, j: VertexMultiset):
-    """One power-matrix entry by the defining double sum (the reference kernel).
+    """One entry of Sym^k(matrix) by the defining double sum (the reference kernel).
 
     Sums the product of matrix entries over every pair of rearrangements of
-    ``i`` and ``j``, then divides by sqrt of the two orbit sizes.  Cost is
+    ``i`` and ``j``, then divides by sqrt of the two orbit sizes.  The
+    matrix may be any square matrix, symmetric or not.  Cost is
     |orbit(i)| * |orbit(j)| * k.  Returns an :class:`ExactWeight` when the
     matrix is rational, a float otherwise.
     """
-    rows = symmetric_rows(matrix)
+    rows = square_rows(matrix)
     _check_pair(rows, i, j)
     total = 0
+    orbit_j = enumerate_orbit(j)
     for p in enumerate_orbit(i):
-        for q in enumerate_orbit(j):
+        for q in orbit_j:
             prod = 1
             for x, y in zip(p, q):
                 w = rows[x - 1][y - 1]
@@ -243,19 +250,19 @@ def entry_orbit_sum(matrix, i: VertexMultiset, j: VertexMultiset):
     return total / math.sqrt(d)
 
 
-def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset, cap: int = PERMANENT_CAP_DEFAULT):
-    """One power-matrix entry via a k x k permanent (the fast kernel).
+def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset):
+    """One entry of Sym^k(matrix) via a k x k permanent (the fast kernel).
 
-    Equals ``entry_orbit_sum`` exactly on rational inputs: the double sum
-    collapses to perm(B) / sqrt(prod of multiplicity factorials), where
-    B[a][b] = matrix[i_a][j_b].
+    Equals ``entry_orbit_sum`` exactly on rational square matrices: the
+    double sum collapses to perm(B) / sqrt(prod of multiplicity factorials),
+    where B[a][b] = matrix[i_a][j_b].  Refuses k > PERMANENT_CAP.
     """
-    rows = symmetric_rows(matrix)
+    rows = square_rows(matrix)
     _check_pair(rows, i, j)
     k = i.k
-    if k > cap:
+    if k > PERMANENT_CAP:
         raise PermanentCapError(
-            f"k={k} exceeds the permanent cap {cap}; use the orbit kernel instead"
+            f"k={k} exceeds the permanent cap {PERMANENT_CAP}; use the orbit kernel instead"
         )
     sub = [[rows[x - 1][y - 1] for y in j.entries] for x in i.entries]
     perm = _ryser(sub)
@@ -274,7 +281,7 @@ def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset, cap: int = PER
 # ---------------------------------------------------------------------------
 
 
-def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str, chunk: int = 8192):
+def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str):
     """Literal double sum for all entries, chunked per row.
 
     For row i the kernel materializes the product of k matrix entries for
@@ -285,15 +292,14 @@ def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str, chunk: int 
     """
     dtype = a_mat.dtype
     big = multiset_count(n, k)
-    ordered, ranks = _ordered_table(n, k, order)
-    orbits = _orbit_arrays(n, k, order)
+    ordered, ranks, orbits = _ordered_table(n, k, order)
     core = np.zeros((big, big), dtype=dtype)
     for a in range(big):
         orb = orbits[a]
         cols = np.nonzero(ranks >= a)[0]
         row_acc = np.zeros(big, dtype=dtype)
-        for start in range(0, len(cols), chunk):
-            sel = cols[start : start + chunk]
+        for start in range(0, len(cols), _ORBIT_CHUNK):
+            sel = cols[start : start + _ORBIT_CHUNK]
             q_idx = ordered[sel]
             terms = a_mat[orb[:, None, :], q_idx[None, :, :]]
             sums = terms.prod(axis=2).sum(axis=0)
@@ -412,10 +418,12 @@ class SymPowerMatrix:
         core.  Without ``edges`` the weights are None; with ``edges`` they are
         float64, bit-equal to ``to_dense()[rows, cols]``, and pairs whose
         weight underflows to 0.0 (no edge in ``to_dense``) are left out.
-        An entry past the float64 range raises ValueError here, before the
-        first block."""
-        if edges and self.path == "object":
-            self._float_core(np.array([self.core.min(), self.core.max()], dtype=object))
+        An entry past the float64 range, or a float core's inf or nan,
+        raises ValueError here, before the first block."""
+        if edges and self.path != "int64":
+            ends = self._float_core(np.array([self.core.min(), self.core.max()], dtype=object))
+            if not np.isfinite(ends).all():
+                raise ValueError("a power entry is past the float64 range")
         return self._upper_blocks(edges)
 
     def _upper_blocks(self, edges: bool):
@@ -450,20 +458,14 @@ class SymPowerMatrix:
         return WeightedGraph(self.dim, edges, self.vertex_labels())
 
 
-def sym_power(
-    graph: WeightedGraph,
-    k: int,
-    method: str = "permanent",
-    order: str = "paper",
-    max_dim: int | None = None,
-) -> SymPowerMatrix:
+def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: str = "paper") -> SymPowerMatrix:
     """Adjacency matrix of the k-th symmetric tensor power of ``graph``.
 
     Rational input weights produce an exact core; any float weight switches
     the whole core to float64.  The result is deterministic for fixed
     arguments.  Raises :class:`SizeBudgetError` before allocating when the
-    power dimension exceeds ``max_dim`` (default: the SYMTENSOR_MAX_N
-    environment variable, else 5000), when the core would take more bytes
+    power dimension exceeds the SYMTENSOR_MAX_N environment variable
+    (default 5000), when the core would take more bytes
     than an int64 core of that dimension (8 bytes per int64 or float64
     entry, about 68 per object entry), and for ``method="orbit"`` when n^k
     exceeds 2,000,000.
@@ -474,7 +476,7 @@ def sym_power(
         raise ValueError(f"power exponent must be >= 1, got {k}")
     n = graph.n
     big = multiset_count(n, k)
-    cap = _max_dim() if max_dim is None else max_dim
+    cap = _max_dim()
     if big > cap:
         raise SizeBudgetError(
             f"power dimension N={big} (n={n}, k={k}) exceeds the budget {cap}; "
@@ -521,16 +523,10 @@ def sym_power(
     )
 
 
-def sym_power_graph(
-    graph: WeightedGraph,
-    k: int,
-    method: str = "permanent",
-    order: str = "paper",
-    max_dim: int | None = None,
-) -> WeightedGraph:
+def sym_power_graph(graph: WeightedGraph, k: int, method: str = "permanent", order: str = "paper") -> WeightedGraph:
     """The power as a graph: one vertex per sorted tuple, labeled "i1,i2,...";
     edges are the nonzero matrix entries, diagonal entries become loops."""
-    return sym_power(graph, k, method=method, order=order, max_dim=max_dim).to_graph()
+    return sym_power(graph, k, method=method, order=order).to_graph()
 
 
 # ---------------------------------------------------------------------------

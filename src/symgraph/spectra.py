@@ -90,7 +90,8 @@ def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
     try:
-        values = np.linalg.eigvalsh((a + a.T) / 2.0)
+        # halving each side first: a + a.T overflows near the float64 limit
+        values = np.linalg.eigvalsh(a / 2 + a.T / 2)
     except np.linalg.LinAlgError as exc:
         raise JacobiConvergenceError(f"eigenvalue solver failed: {exc}") from exc
     return Spectrum(tuple(values.tolist()), tol)

@@ -169,7 +169,7 @@ def test_c04_kernel_equivalence():
 
 @criterion("C05", "subgraph embedding: constant-tuple submatrix equals the adjacency, 100 graphs")
 def test_c05_subgraph():
-    result = verify.suite_subgraph(graphs=100)
+    result = verify.suite_subgraph()
     assert result.failures == []
     assert result.checks >= 100
 

@@ -127,6 +127,26 @@ def test_power_exact_writes_weights_past_the_float_range(tmp_path, capsys):
     assert (code, out) == (2, "") and "float64 range" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_power_past_the_float_range_exits_2_before_writing(capsys, monkeypatch):
+    # (1e308)^2 is inf in float64: the file said "1 2 inf", which stats refused
+    code, out, err = run_cli(capsys, ["power", "-k", "2"], "2\n1 2 1e308\n", monkeypatch)
+    assert (code, out) == (2, "") and "float64 range" in err
+    with pytest.raises(ValueError, match="float64 range"):
+        sym_power(WeightedGraph(2, {(1, 2): 1e308}), 2).upper_edges()
+    # a float core that stays finite still writes
+    code, out, _ = run_cli(capsys, ["power", "-k", "2"], "2\n1 2 1e150\n", monkeypatch)
+    assert code == 0 and "inf" not in out
+
+
+def test_verify_nmax_below_two_usage_error(capsys):
+    # the suites draw n from randint(2, nmax), which leaked "empty range" at 1
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "wiener", "--nmax", "1"])
+    assert exc.value.code == 2
+    assert "--nmax must be >= 2" in capsys.readouterr().err
+
+
 def test_power_k_zero_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["power", "-k", "0"])

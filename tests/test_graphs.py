@@ -74,6 +74,27 @@ def test_numpy_integer_weights_are_stored_as_python_ints():
         assert write_graph(g) == "2\n1 2 1\n2 2 2\n"
 
 
+def test_bool_weights_are_stored_as_python_ints():
+    # a bool weight powered exactly, but entry_permanent read it as a float
+    # and write_graph refused it
+    from symgraph.combinatorics import VertexMultiset
+    from symgraph.exact import ExactWeight
+    from symgraph.fileio import write_graph
+    from symgraph.power import entry_permanent, sym_power
+
+    for g in (
+        WeightedGraph(2, {(1, 2): True}),
+        WeightedGraph(2, {(1, 2): np.True_}),
+        WeightedGraph.from_matrix(np.array([[False, True], [True, False]])),
+    ):
+        assert g == path(2)
+        assert [type(w) for _, _, w in g.edges()] == [int]
+        assert sym_power(g, 2).path == "int64"
+        i = VertexMultiset((1, 2), 2)
+        assert entry_permanent(g.weight_rows(), i, i) == ExactWeight.of(1)
+        assert write_graph(g) == "2\n1 2 1\n"
+
+
 def test_adjacency_matrix_golden():
     assert np.array_equal(
         adjacency_matrix(complete(3)),

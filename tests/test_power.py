@@ -71,7 +71,7 @@ def test_ryser_matches_naive_oracle():
 
 def test_ryser_cap():
     with pytest.raises(PermanentCapError):
-        ryser_permanent([[1] * 21 for _ in range(21)], cap=20)
+        ryser_permanent([[1] * 21 for _ in range(21)])
     with pytest.raises(ValueError):
         ryser_permanent([[1, 2]])
 
@@ -128,6 +128,42 @@ def test_entry_permanent_equals_orbit_sum():
         for i in msets:
             for j in msets:
                 assert entry_permanent(rows, i, j) == entry_orbit_sum(rows, i, j)
+
+
+def test_entry_oracles_take_non_symmetric_matrices():
+    # Sym^k(A) is defined for every square A: both oracles agree with each
+    # other and with the linear-form core, which takes A as it is
+    from symgraph.power import _core_linear_forms
+
+    rng = random.Random(1813)
+    for n in range(1, 5):
+        for k in range(1, 4):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            core = _core_linear_forms(np.array(rows, dtype=object), n, k, "paper")
+            msets = enumerate_multisets(n, k)
+            for x, tx in enumerate(msets):
+                for y, ty in enumerate(msets):
+                    want = entry_orbit_sum(rows, tx, ty)
+                    d = orbit_size(tx.multiplicity()) * orbit_size(ty.multiplicity())
+                    assert entry_permanent(rows, tx, ty) == want
+                    assert ExactWeight.make(Fraction(core.item(x, y), d), d) == want
+    with pytest.raises(ValueError, match="square"):
+        entry_orbit_sum([[0, 1]], VertexMultiset((1,), 1), VertexMultiset((1,), 1))
+
+
+def test_ordered_table_orbits_follow_enumerate_orbit():
+    # the float orbit core sums each orbit in this order, so its bits depend on it
+    from symgraph.combinatorics import enumerate_orbit
+    from symgraph.power import _index_data, _ordered_table
+
+    for n in range(1, 6):
+        for k in range(1, 5):
+            for order in ("paper", "lex"):
+                _, _, orbits = _ordered_table(n, k, order)
+                tuples = _index_data(n, k, order)[0]
+                assert len(orbits) == len(tuples)
+                for t, orbit in zip(tuples, orbits):
+                    assert (orbit + 1).tolist() == list(map(list, enumerate_orbit(VertexMultiset(t, n))))
 
 
 def test_entry_permanent_all_ones_loop():
@@ -469,9 +505,10 @@ def test_float_power_of_nonnegative_weights_keeps_the_exact_support():
         assert np.allclose(got, exact, rtol=1e-12, atol=0)
 
 
-def test_size_budget():
+def test_size_budget(monkeypatch):
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "100")
     with pytest.raises(SizeBudgetError):
-        sym_power(complete(10), 6, max_dim=100)
+        sym_power(complete(10), 6)
 
 
 def test_orbit_refuses_past_the_ordered_table_cap():
@@ -715,7 +752,9 @@ def test_a_core_past_the_bytes_of_an_int64_core_at_the_budget_refuses_first(monk
     g = WeightedGraph(3, {(1, 1): 10**9, (1, 2): 10**9 + 1, (2, 3): -7})
     assert sym_power(g, 2).path == "object"
     assert sym_power(path(3), 3).path == "int64"
-    assert sym_power(g, 3, max_dim=30).dim == 10  # 8 * 30^2 = 7,200 bytes
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "30")
+    assert sym_power(g, 3).dim == 10  # 8 * 30^2 = 7,200 bytes
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "20")
 
     def kernel(*args):
         raise AssertionError("the kernel ran")

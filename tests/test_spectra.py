@@ -41,6 +41,15 @@ def test_eigenvalues_zero_and_1x1():
     assert eigenvalues_symmetric([[7.0]]).values == (7.0,)
 
 
+def test_eigenvalues_near_the_float64_limit():
+    # averaging (a + a.T) / 2 overflowed to inf here and printed nan nan
+    a = [[0.0, 1e308], [1e308, 1e308]]
+    spec = eigenvalues_symmetric(a)
+    assert spec.values == tuple(np.linalg.eigvalsh(np.array(a)).tolist())
+    assert spec.values[0] == pytest.approx(-6.180339887498948e307)
+    assert spec.values[1] == pytest.approx(1.618033988749895e308)
+
+
 def test_eigenvalues_rejects_asymmetric():
     with pytest.raises(ValueError):
         eigenvalues_symmetric([[0.0, 1.0], [2.0, 0.0]])
