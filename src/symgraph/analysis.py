@@ -3,9 +3,9 @@
 The measured side lives here: connected components, loop and edge counts,
 degrees, and, by one BFS on the unweighted support, bipartiteness and the
 Wiener index.
-Components, degrees and the counts of :func:`support_stats_blocks` run on
-blocks of the pairs (u, v) as they arrive, so a graph file's stats need no
-:class:`WeightedGraph` and no whole-file array.
+Each measure has a body on the pairs (u, v) as arrays, which the counts of
+:func:`support_stats_blocks` take in blocks as they arrive, so a graph
+file's stats need no :class:`WeightedGraph`.
 The predicting side is a catalog of closed forms for the named families,
 each addressable through :func:`predict`.
 
@@ -47,14 +47,13 @@ class ComponentStructure:
 
 def _roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The root of each vertex in ``x`` in the forest ``parent``; points
-    each of them straight at its root."""
-    root = parent[x]
+    each of them straight at its root, pointer jumping along ``x``."""
     while True:
-        up = parent[root]
-        if (up == root).all():
-            parent[x] = root
-            return root
-        root = up
+        up = parent[x]
+        top = parent[up]
+        if (top == up).all():
+            return up
+        parent[x] = top
 
 
 def _merge(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
@@ -158,7 +157,7 @@ def edge_count(graph: WeightedGraph) -> int:
 def is_bipartite(graph: WeightedGraph) -> bool:
     """Two-colorability of the support: every edge joins BFS depths of
     different parity; any loop is an odd cycle, so False."""
-    adj = _adjacency_lists(graph)
+    adj = _adjacency_lists(graph.n, *edge_arrays(graph)[:2])
     depth = [-1] * (graph.n + 1)
     for v in range(1, graph.n + 1):
         if depth[v] < 0:
@@ -166,12 +165,12 @@ def is_bipartite(graph: WeightedGraph) -> bool:
     return all((depth[u] + depth[v]) % 2 for u, v, _ in graph.edges())
 
 
-def _adjacency_lists(graph: WeightedGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(graph.n + 1)]
-    for u, v, _ in graph.edges():
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
+def _adjacency_lists(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        if a != b:
+            adj[a].append(b)
+            adj[b].append(a)
     return adj
 
 
@@ -202,34 +201,39 @@ class DisconnectedGraphError(ValueError):
 
 
 def wiener_index(graph: WeightedGraph) -> int:
-    """Sum of hop-count distances over unordered distinct vertex pairs.
+    """Sum of hop-count distances over unordered distinct vertex pairs:
+    :func:`wiener_index_edges` of the graph's pairs."""
+    return wiener_index_edges(graph.n, *edge_arrays(graph)[:2])
 
-    BFS from every vertex on the unweighted support.  Disconnected input
-    raises :class:`DisconnectedGraphError` with the component count.
-    """
-    adj = _adjacency_lists(graph)
-    total = 0
-    for v in range(1, graph.n + 1):
-        dist = [-1] * (graph.n + 1)
-        reached = _bfs(adj, v, dist)
-        if len(reached) != graph.n:
-            raise DisconnectedGraphError(components(graph).count)
-        total += sum(dist[w] for w in reached)
-    return total // 2
+
+def wiener_index_edges(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """The Wiener index of the n-vertex graph whose weighted pairs are (u, v),
+    by BFS on the unweighted support.  Disconnected input raises
+    :class:`DisconnectedGraphError` with the component count."""
+    count = int(_component_ids(n, u, v).max()) + 1
+    if count > 1:
+        raise DisconnectedGraphError(count)
+    return _distance_sum(n, u, v)
 
 
 def wiener_within_components(graph: WeightedGraph) -> int:
     """Sum of pairwise distances taken within each component separately.
 
     A convenience beyond the plain Wiener index, which is undefined for
-    disconnected graphs.  One distance list serves every source, and each
-    BFS resets only the entries it reached, so a source costs what it reaches.
+    disconnected graphs.
     """
-    adj = _adjacency_lists(graph)
-    dist = [-1] * (graph.n + 1)
+    return _distance_sum(graph.n, *edge_arrays(graph)[:2])
+
+
+def _distance_sum(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """Sum of the hop counts between the vertices of each component, by BFS
+    from every vertex.  One distance list serves every source, and each BFS
+    resets only the entries it reached, so a source costs what it reaches."""
+    adj = _adjacency_lists(n, u, v)
+    dist = [-1] * (n + 1)
     total = 0
-    for v in range(1, graph.n + 1):
-        for w in _bfs(adj, v, dist):
+    for s in range(1, n + 1):
+        for w in _bfs(adj, s, dist):
             total += dist[w]
             dist[w] = -1
     return total // 2

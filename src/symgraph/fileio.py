@@ -15,8 +15,9 @@ with no Python object per line or token.  The reader views each block of
 text as one code per character, finds tokens and lines from masks, and
 converts each distinct token once.  The writer gathers each block's bytes
 from a table that holds every vertex label and weight text once.
-:func:`parse_edges` and :func:`write_edges` join the blocks into whole
-arrays and text; ``symgraph power`` and ``stats`` stream them instead.
+:func:`parse_edges` (or :func:`read_edges`, from a handle) and
+:func:`write_edges` join the blocks into whole arrays (n, u, v, w) and text;
+``symgraph power`` and ``dot`` stream their output, plain ``stats`` its input.
 
 Weights are written as the shortest decimal that round-trips the float, so
 parse(write(g)) reproduces g up to that formatting.  An optional exact mode
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import analysis
 from .exact import ExactWeight
-from .graphs import WeightedGraph, adjacency_matrix, edge_arrays
-from .spectra import eigenvalues_symmetric
+from .graphs import WeightedGraph, edge_arrays
+from .spectra import eigenvalues_edges
 
 
 class GraphFormatError(ValueError):
@@ -437,7 +438,15 @@ def parse_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     float, and an ``object`` array of Python ints and floats when both occur.
     A :class:`GraphFormatError` names the first bad line in file order.
     """
-    blocks = _edge_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS))
+    return _joined(_edge_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS)))
+
+
+def read_edges(handle: TextIO) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`parse_edges` of a graph file read from a text handle a block at a time."""
+    return _joined(_edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), "")))
+
+
+def _joined(blocks: Iterator) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     n = next(blocks)
     a, b, floats, is_float, ints = map(np.concatenate, zip(*blocks))
     a, b = _narrow(a, b)
@@ -539,13 +548,23 @@ def _dot_quote(s: str) -> str:
 
 def write_dot(graph: WeightedGraph) -> str:
     """Render an undirected DOT graph; loops are self-edges, weights are labels."""
-    lines = ["graph G {"]
-    for v in range(1, graph.n + 1):
-        lines.append(f"  {v} [label={_dot_quote(graph.label(v))}];")
-    for u, v, w in graph.edges():
-        lines.append(f"  {u} -- {v} [label={_dot_quote(format_weight(w))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_blocks(graph.n, *edge_arrays(graph), graph.labels))
+
+
+def dot_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: Sequence | None = None) -> Iterator[str]:
+    """The DOT graph of n vertices, named by ``labels`` (by default their
+    numbers), with weight w at each 1-based pair (u, v), ``_WRITE_LINES``
+    lines at a time; pairs come in (u, v) order, whatever the arrays' order."""
+    yield "graph G {\n"
+    for lo in range(0, n, _WRITE_LINES):
+        names = range(lo + 1, min(lo + _WRITE_LINES, n) + 1)
+        yield "".join(f"  {x} [label={_dot_quote(str(x) if labels is None else labels[x - 1])}];\n" for x in names)
+    order = np.lexsort((v, u))
+    for lo in range(0, len(order), _WRITE_LINES):
+        at = order[lo : lo + _WRITE_LINES]
+        pairs = zip(u[at].tolist(), v[at].tolist(), w[at].tolist())
+        yield "".join(f"  {a} -- {b} [label={_dot_quote(format_weight(x))}];\n" for a, b, x in pairs)
+    yield "}\n"
 
 
 def _stats_json(counts: dict[str, object], wiener: int | None = None, spectrum: list[float] | None = None) -> str:
@@ -559,22 +578,24 @@ def _stats_json(counts: dict[str, object], wiener: int | None = None, spectrum: 
 
 
 def write_stats_json(graph: WeightedGraph, wiener: bool = False, spectrum: bool = False) -> str:
-    """Summary statistics as JSON with a fixed key order.
+    """Summary statistics as JSON with a fixed key order:
+    :func:`stats_json_edges` of the graph's pairs."""
+    return stats_json_edges(graph.n, *edge_arrays(graph), wiener=wiener, spectrum=spectrum)
 
-    ``wiener`` is null unless requested on a connected graph; ``spectrum`` is
-    included only when requested.
-    """
+
+def stats_json_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, wiener: bool = False,
+                     spectrum: bool = False) -> str:
+    """The stats JSON of the n-vertex graph with weight w at each 1-based
+    pair (u, v).  ``wiener`` is null unless requested on a connected graph;
+    ``spectrum`` is included only when requested."""
+    values = list(eigenvalues_edges(n, u, v, w).values) if spectrum else None
     wiener_value: int | None = None
     if wiener:
         try:
-            wiener_value = analysis.wiener_index(graph)
+            wiener_value = analysis.wiener_index_edges(n, u, v)
         except analysis.DisconnectedGraphError:
             wiener_value = None
-    values = None
-    if spectrum:
-        values = list(eigenvalues_symmetric(adjacency_matrix(graph)).values)
-    counts = analysis.support_stats_blocks(graph.n, [edge_arrays(graph)[:2]])
-    return _stats_json(counts, wiener_value, values)
+    return _stats_json(analysis.support_stats_blocks(n, [(u, v)]), wiener_value, values)
 
 
 def read_stats_json(handle: TextIO) -> str:

@@ -92,7 +92,7 @@ class WeightedGraph:
 
     @property
     def is_rational(self) -> bool:
-        return all(isinstance(w, (int, Fraction)) for w in self._weights.values())
+        return all_rational(self._weights.values())
 
     # -- conversions -------------------------------------------------------
 
@@ -123,6 +123,11 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={len(self._weights)})"
+
+
+def all_rational(weights: Iterable) -> bool:
+    """Whether every weight is an int or a Fraction (a bool is neither): the rule for an exact power."""
+    return all(isinstance(w, (int, Fraction)) and not isinstance(w, bool) for w in weights)
 
 
 def square_rows(matrix) -> list[list]:

@@ -48,7 +48,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -62,7 +62,7 @@ from .combinatorics import (
     rank,
 )
 from .exact import ExactWeight
-from .graphs import WeightedGraph, dense_matrix, edge_arrays, square_rows
+from .graphs import WeightedGraph, all_rational, dense_matrix, edge_arrays, square_rows
 
 METHODS = ("orbit", "permanent")
 
@@ -210,10 +210,6 @@ def ryser_permanent(matrix):
 # ---------------------------------------------------------------------------
 
 
-def _rows_rational(rows: list[list]) -> bool:
-    return all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for r in rows for x in r)
-
-
 def _check_pair(rows: list[list], i: VertexMultiset, j: VertexMultiset) -> None:
     if i.n != j.n or i.k != j.k:
         raise ValueError(f"index tuples disagree: n={i.n} vs {j.n}, k={i.k} vs {j.k}")
@@ -245,7 +241,7 @@ def entry_orbit_sum(matrix, i: VertexMultiset, j: VertexMultiset):
             else:
                 total += prod
     d = orbit_size(i.multiplicity()) * orbit_size(j.multiplicity())
-    if _rows_rational(rows):
+    if all_rational(chain.from_iterable(rows)):
         return ExactWeight.make(Fraction(total, d), d)
     return total / math.sqrt(d)
 
@@ -271,7 +267,7 @@ def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset):
         m *= math.factorial(c)
     for c in j.multiplicity().counts:
         m *= math.factorial(c)
-    if _rows_rational(rows):
+    if all_rational(chain.from_iterable(rows)):
         return ExactWeight.make(Fraction(perm, m), m)
     return perm / math.sqrt(m)
 
@@ -459,7 +455,14 @@ class SymPowerMatrix:
 
 
 def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: str = "paper") -> SymPowerMatrix:
-    """Adjacency matrix of the k-th symmetric tensor power of ``graph``.
+    """Adjacency matrix of the k-th symmetric tensor power of ``graph``."""
+    return sym_power_edges(graph.n, *edge_arrays(graph), k, method=method, order=order)
+
+
+def sym_power_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str = "permanent",
+                    order: str = "paper") -> SymPowerMatrix:
+    """The k-th symmetric tensor power of the n-vertex graph with weight w at
+    each 1-based pair (u, v).
 
     Rational input weights produce an exact core; any float weight switches
     the whole core to float64.  The result is deterministic for fixed
@@ -474,7 +477,6 @@ def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: st
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
-    n = graph.n
     big = multiset_count(n, k)
     cap = _max_dim()
     if big > cap:
@@ -488,10 +490,10 @@ def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: st
             f"more than its cap {_ORDERED_TABLE_CAP}; use the permanent kernel"
         )
     tuples, sizes = _index_data(n, k, order)
-    u, v, w = edge_arrays(graph)
-    exact = graph.is_rational
+    exact = all_rational(map(w.item, range(len(w))))  # Python numbers, read lazily
     denominator = 1
     if exact:
+        w = w.astype(object)  # Python ints and Fractions: the scaling below must not wrap in int64
         scale = math.lcm(*(x.denominator for x in w))
         denominator = scale**k
         a = dense_matrix(n, u, v, w * scale // 1, object)  # Fraction // 1 is an int
@@ -508,6 +510,9 @@ def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: st
         raise SizeBudgetError(f"the {path} core of N={big} (n={n}, k={k}) would take about {need:,} bytes, more than "
                               f"the {allowed:,} of an int64 core at the budget {cap}; raise {MAX_DIM_ENV} to override")
     kernel = _core_linear_forms if method == "permanent" else _core_orbit_numpy
+    # upper_blocks reports a float core past the float64 range (inf or nan) as one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = kernel(a, n, k, order)
 
     return SymPowerMatrix(
         n=n,
@@ -519,7 +524,7 @@ def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: st
         denominator=denominator,
         tuples=tuples,
         orbit_sizes=sizes,
-        core=kernel(a, n, k, order),
+        core=core,
     )
 
 

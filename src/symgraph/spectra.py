@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .combinatorics import multiset_count
+from .graphs import dense_matrix
 from .power import SizeBudgetError, _max_dim
 
 DEFAULT_TOL = 1e-8
@@ -82,9 +83,7 @@ def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n > _max_dim():
-        raise SizeBudgetError(f"matrix dimension {n} exceeds the budget {_max_dim()}")
+    _check_dimension(a.shape[0])
     scale = max(1.0, float(np.abs(a).max()))
     asym = float(np.abs(a - a.T).max())
     if asym > 1e-12 * scale:
@@ -95,6 +94,18 @@ def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise JacobiConvergenceError(f"eigenvalue solver failed: {exc}") from exc
     return Spectrum(tuple(values.tolist()), tol)
+
+
+def eigenvalues_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """:func:`eigenvalues_symmetric` of the n-vertex graph with weight w at
+    each 1-based pair (u, v), refused past the budget before the matrix is built."""
+    _check_dimension(n)
+    return eigenvalues_symmetric(dense_matrix(n, u, v, w, np.float64), tol)
+
+
+def _check_dimension(n: int) -> None:
+    if n > _max_dim():
+        raise SizeBudgetError(f"matrix dimension {n} exceeds the budget {_max_dim()}")
 
 
 def predicted_power_spectrum(spectrum: Spectrum, k: int) -> Spectrum:

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from symgraph import analysis
@@ -90,6 +91,21 @@ def test_components_of_a_long_path():
     structure = components(path(5000))
     assert structure.count == 1
     assert structure.members == (tuple(range(1, 5001)),)
+
+
+def test_roots_jumps_pointers_in_about_log2_n_passes():
+    # the chain n-1 -> n-2 -> ... -> 0; one parent step a pass would take n passes
+    class CountingReads(np.ndarray):
+        def __getitem__(self, key):
+            self.reads += 1
+            return np.asarray(super().__getitem__(key))
+
+    n = 4096
+    parent = np.maximum(np.arange(n) - 1, 0).view(CountingReads)
+    parent.reads = 0
+    assert (analysis._roots(parent, np.arange(n)) == 0).all()
+    assert (np.asarray(parent) == 0).all()
+    assert parent.reads <= 3 * (n.bit_length() + 1), parent.reads
 
 
 def test_isolated_and_loop_only_vertices_are_their_own_components():

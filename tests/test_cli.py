@@ -8,7 +8,7 @@ import pytest
 import symgraph.cli
 from symgraph.cli import main
 from symgraph.fileio import parse_graph, write_stats_json
-from symgraph.graphs import WeightedGraph, path
+from symgraph.graphs import WeightedGraph, edge_arrays, path
 from symgraph.power import SymPowerMatrix, sym_power
 from symgraph.verify import run_suites
 
@@ -127,7 +127,7 @@ def test_power_exact_writes_weights_past_the_float_range(tmp_path, capsys):
     assert (code, out) == (2, "") and "float64 range" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy must not warn before the error line
 def test_float_power_past_the_float_range_exits_2_before_writing(capsys, monkeypatch):
     # (1e308)^2 is inf in float64: the file said "1 2 inf", which stats refused
     code, out, err = run_cli(capsys, ["power", "-k", "2"], "2\n1 2 1e308\n", monkeypatch)
@@ -307,8 +307,8 @@ def _rendered(power, weight):
 @pytest.mark.parametrize("source", ["rational", "signed", "float"])
 def test_power_output_bytes_match_entries(capsys, monkeypatch, source):
     if source == "rational":
-        graph = RATIONAL  # no graph file holds a Fraction: hand the graph to the command
-        monkeypatch.setattr(symgraph.cli, "_load_graph", lambda path: graph)
+        graph = RATIONAL  # no graph file holds a Fraction: hand the graph's arrays to the command
+        monkeypatch.setattr(symgraph.cli, "_load_edges", lambda path: (graph.n, *edge_arrays(graph)))
         stdin = None
     else:
         stdin = SIGNED_TEXT if source == "signed" else FLOAT_TEXT
@@ -345,6 +345,44 @@ def test_stats_on_a_power_builds_no_weighted_graph(capsys, monkeypatch):
     assert len(built) == 0
     assert out == write_stats_json(parse_graph(power_text))
     assert len(built) == 1  # the reference above parsed one graph
+
+
+READERS = [["power", "-k", "2"], ["spectrum"], ["dot"], ["stats"], ["stats", "--wiener"], ["stats", "--spectrum"],
+           ["stats", "--wiener", "--spectrum"]]
+
+
+@pytest.mark.parametrize("argv", READERS, ids=" ".join)
+def test_commands_read_a_graph_file_into_arrays_in_any_pair_order(capsys, monkeypatch, argv):
+    text = "6\n1 1\n1 2 0.5\n2 3 -2\n3 4\n4 5 3\n5 6\n"
+    reversed_text = "6\n" + "".join(reversed(text.splitlines(True)[1:]))
+    built = []
+    init = WeightedGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
+    code, out, err = run_cli(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "") and out
+    assert run_cli(capsys, argv, stdin=reversed_text, monkeypatch=monkeypatch) == (code, out, err)
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [6000, 1_000_000])
+@pytest.mark.parametrize("argv", [["spectrum"], ["stats", "--spectrum"]], ids=" ".join)
+def test_spectrum_past_the_size_budget_exits_2_before_building_the_matrix(capsys, monkeypatch, argv, n):
+    import tracemalloc
+
+    monkeypatch.delenv("SYMTENSOR_MAX_N", raising=False)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        code, out, err = run_cli(capsys, argv, stdin=f"{n}\n1 2\n", monkeypatch=monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: matrix dimension {n} exceeds the budget 5000\n")
+    assert peak < 50 * 2**20, peak  # the dense matrix would take 8 n^2 bytes
 
 
 def test_verify_status_line_reports_seconds(capsys):
@@ -487,6 +525,20 @@ def test_dense_power_and_stats_run_in_bounded_memory(tmp_path):
     stats_mb = _peak_mb([shim, "stats", str(power)])
     assert power.stat().st_size > 18_000_000
     assert power_mb <= bare + 30 and stats_mb <= bare + 30, (bare, power_mb, stats_mb)
+
+
+def test_commands_reading_a_dense_power_run_in_bounded_memory(tmp_path):
+    # the complete_loops 8 k=5 power file (314,028 pairs) is read into its
+    # arrays (n, u, v, w) alone; each process may peak at most 60 MB above a
+    # bare import of the CLI
+    source, power = tmp_path / "family.txt", tmp_path / "power.txt"
+    assert main(["family", "complete_loops", "8", "-o", str(source)]) == 0
+    assert main(["power", "-k", "5", "-o", str(power), str(source)]) == 0
+    shim = "import sys; from symgraph.cli import main; sys.exit(main())"
+    bare = _peak_mb(["import symgraph.cli"])
+    peaks = {" ".join(argv): _peak_mb([shim, *argv, str(power)])
+             for argv in (["spectrum"], ["dot"], ["power", "-k", "1"], ["stats", "--spectrum"])}
+    assert all(mb <= bare + 60 for mb in peaks.values()), (bare, peaks)
 
 
 def test_verify_kernels_runs_in_bounded_memory():

@@ -13,6 +13,7 @@ from symgraph.fileio import (
     format_weight,
     parse_edges,
     parse_graph,
+    read_edges,
     write_dot,
     write_edges,
     write_graph,
@@ -196,6 +197,30 @@ def test_parse_matches_a_line_by_line_reading_in_any_block_size(monkeypatch, blo
         newline = rng.choice(["\n", "\r\n"])
         text = newline.join(lines) + rng.choice(["", newline])
         assert _agrees(_parsed(text), _reference_parse(text)), text
+
+
+def _arrays_or_error(parse, source):
+    try:
+        n, u, v, w = parse(source)
+    except GraphFormatError as exc:
+        return str(exc)
+    return n, u.tolist(), v.tolist(), w.tolist(), w.dtype
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_read_edges_from_a_handle_equals_parse_edges(monkeypatch, block):
+    import io
+
+    from symgraph import fileio
+
+    if block is not None:
+        monkeypatch.setattr(fileio, "_BLOCK_CHARS", block)
+    rng = random.Random(4099)
+    for _ in range(200):
+        lines = ["# a graph", "4"] + [rng.choice(GOOD_LINES + NOISE + BAD_LINES) for _ in range(rng.randint(0, 8))]
+        text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+        handle = io.StringIO(text, newline="")
+        assert _arrays_or_error(read_edges, handle) == _arrays_or_error(parse_edges, text), text
 
 
 # every line break str.splitlines() knows, and whitespace that is not one

@@ -49,6 +49,17 @@ def test_wiener_suite_reports_every_case():
     assert sum(1 for r in res.report if " cycle_square " in r) == 2  # n in {3, 5}
 
 
+@pytest.mark.parametrize("reading", ["wiener_complete_power_statement", "wiener_cycle_square_statement"])
+def test_wiener_suite_fails_on_a_wrong_statement_reading(monkeypatch, reading):
+    from symgraph import analysis
+
+    right = getattr(analysis, reading)
+    monkeypatch.setattr(analysis, reading, lambda *args: right(*args) + 1)
+    res = suite_wiener(nmax=5, kmax=2)
+    assert not res.ok
+    assert len(res.failures) == (3 * 2 if "complete" in reading else 2)
+
+
 def test_generators_deterministic():
     a = random_graph01(random.Random(5), 6)
     b = random_graph01(random.Random(5), 6)
