@@ -151,7 +151,10 @@ def dense_matrix(n: int, u: np.ndarray, v: np.ndarray, w, dtype) -> np.ndarray:
     and (v, u), zero elsewhere (Python int 0 in an object matrix)."""
     a = np.zeros((n, n), dtype=dtype)
     i, j = u - 1, v - 1
-    a[i, j] = w
+    try:
+        a[i, j] = w
+    except OverflowError:  # an int weight past the float64 range
+        raise ValueError("a weight is past the float64 range") from None
     a[j, i] = w
     return a
 

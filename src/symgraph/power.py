@@ -18,7 +18,10 @@ Two independent kernels fill the core:
                    *Matrix Analysis*, I.5): S[i][j] = D[i] times the coefficient
                    of x^m(j) in prod_a (sum_v A[i_a, v] x_v), where m(j) counts
                    the vertices of j.  The products are expanded one degree at
-                   a time for all rows at once, n numpy updates per degree.
+                   a time for all rows at once: each entry of degree d gathers
+                   its at most min(d, n) terms from degree d-1, and when A is
+                   symmetric the last degree fills only its upper triangle,
+                   which is then mirrored.
                    The method is named for the identity S[i][j] =
                    D[i] * D[j] / k! * perm(A[i_a, j_b]);
                    ``ryser_permanent`` and ``entry_permanent`` evaluate that
@@ -48,13 +51,15 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .combinatorics import (
+    COUNT_LIMIT,
     VertexMultiset,
+    _check_order,
     enumerate_multisets,
     enumerate_orbit,
     multiset_count,
@@ -83,6 +88,10 @@ _INT64_SAFE = 2**62
 # small enough to stay in cache, which measured faster than whole levels
 _BLOCK_ELEMS = 1 << 14
 
+# rows per tile of the mirror that copies a symmetric core's upper triangle
+# over its lower one: each transposed read takes 64 entries of a row
+_MIRROR_TILE = 64
+
 # core entries scanned at a time for the nonzero upper-triangle pairs
 _SUPPORT_BLOCK = 1 << 15
 
@@ -108,13 +117,56 @@ def _max_dim() -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+def _ranks(t: np.ndarray, n: int, order: str) -> np.ndarray:
+    """Ranks of the rows of ``t``, sorted 0-based d-tuples over n vertices,
+    in ``enumerate_multisets(n, d, order)``.
+
+    The lex rank is the combinadic sum of ``combinatorics.rank`` a column at
+    a time: below[p, x] counts the tuples that agree with a row before
+    position p and hold a value under x there.
+    """
+    d = t.shape[1]
+    below = np.zeros((d, n + 1), dtype=np.int64)
+    for p in range(d):
+        rest = d - p - 1
+        below[p, 1:] = np.cumsum([math.comb(n - x + rest - 1, rest) for x in range(n)])
+    lex = below[np.arange(d), t].sum(axis=1) - below[np.arange(1, d), t[:, :-1]].sum(axis=1)
+    if order == "lex":
+        return lex
+    first = t[:, 0]
+    # paper order: the n constant tuples, then the rest in lex order
+    return np.where(first == t[:, -1], first, n - 1 + lex - first)
+
+
 def _index_data(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Sorted tuples in the given order and their orbit sizes."""
-    msets = enumerate_multisets(n, k, order)
-    tuples = tuple(t.entries for t in msets)
-    sizes = tuple(orbit_size(t.multiplicity()) for t in msets)
-    return tuples, sizes
+    return _index_tables(n, k, order)[:2]
+
+
+@lru_cache(maxsize=64)
+def _index_tables(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], np.ndarray]:
+    """The tuples and orbit sizes of ``_index_data``, and the tuples as an
+    (N, k) array of 0-based vertices."""
+    _check_order(order)
+    multiset_count(n, k)  # validates arguments and the size guard
+    tuples = list(combinations_with_replacement(range(1, n + 1), k))  # lex order
+    if order == "paper":
+        tuples = [(v,) * k for v in range(1, n + 1)] + [t for t in tuples if t[0] != t[-1]]
+    table = np.fromiter(chain.from_iterable(tuples), dtype=np.intp, count=len(tuples) * k).reshape(-1, k) - 1
+    # k! / prod(m_v!) as a product over positions: position p brings a factor
+    # (p + 1) / run, run counting the copies of its vertex at positions <= p.
+    # Each partial product is an orbit size of a prefix, at most min(k!, n^k);
+    # Python ints hold them when k times that could pass int64
+    dtype = np.int64 if min(math.factorial(k), n**k) * k < COUNT_LIMIT else object
+    sizes = np.ones(len(tuples), dtype=dtype)
+    run = np.ones(len(tuples), dtype=dtype)
+    for p in range(1, k):
+        run = np.where(table[:, p] == table[:, p - 1], run + 1, 1).astype(dtype)
+        sizes = sizes * (p + 1) // run
+    if dtype is object and (sizes >= COUNT_LIMIT).any():
+        first = next(i for i, size in enumerate(sizes) if size >= COUNT_LIMIT)
+        orbit_size(VertexMultiset(tuples[first], n).multiplicity())  # raises CountLimitError
+    return tuple(tuples), tuple(sizes.tolist()), table
 
 
 @lru_cache(maxsize=4)
@@ -136,28 +188,32 @@ def _ordered_table(n: int, k: int, order: str) -> tuple[np.ndarray, np.ndarray, 
     return ordered, ranks, tuple(orbits)
 
 
-@lru_cache(maxsize=8)
-def _linear_form_tables(n: int, k: int, order: str) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Index arrays (parent, last, up) of the linear-form kernel, for d = 2..k.
+@lru_cache(maxsize=64)
+def _linear_form_tables(n: int, d: int, order: str) -> tuple[np.ndarray, ...]:
+    """Index arrays (parent, last, pred, vert) of the linear-form kernel at degree d >= 2.
 
     Rows and monomials of degree d are both ranked as the sorted d-tuples of
-    ``_index_data(n, d, order)``.  Row r of degree d extends row ``parent[r]``
-    of degree d-1 by the 0-based vertex ``last[r]``; ``up[m, u]`` is the rank
-    of monomial m of degree d-1 times x_u.
+    ``_index_data(n, d, order)``.  Row r extends row ``parent[r]`` of degree
+    d-1 by the 0-based vertex ``last[r]``.  Monomial j is x_u times the
+    degree-(d-1) monomial ``pred[s, j]`` for its s-th distinct vertex
+    u = ``vert[s, j]``, in ascending u; its slots past its distinct vertices
+    hold the sentinels N_{d-1} and n, a zero column of each operand.
     """
-    levels = []
-    prev = {t: i for i, t in enumerate(_index_data(n, 1, order)[0])}
-    for d in range(2, k + 1):
-        cur = {t: i for i, t in enumerate(_index_data(n, d, order)[0])}
-        parent = np.array([prev[t[:-1]] for t in cur], dtype=np.intp)
-        last = np.array([t[-1] - 1 for t in cur], dtype=np.intp)
-        up = np.array(
-            [[cur[tuple(sorted(t + (u,)))] for u in range(1, n + 1)] for t in prev],
-            dtype=np.intp,
-        )
-        levels.append((parent, last, up))
-        prev = cur
-    return tuple(levels)
+    t = _index_tables(n, d, order)[2]
+    big = len(t)
+    parent = _ranks(t[:, :-1], n, order)
+    last = t[:, -1]
+    # a run's first position stands for its vertex: removing any copy gives the same tuple
+    starts = np.ones(t.shape, dtype=bool)
+    starts[:, 1:] = t[:, 1:] != t[:, :-1]
+    rows, pos = np.nonzero(starts)  # row by row, positions ascending
+    slot = np.cumsum(starts, axis=1)[rows, pos] - 1
+    removed = np.stack([_ranks(np.delete(t, p, axis=1), n, order) for p in range(d)], axis=1)
+    pred = np.full((min(d, n), big), multiset_count(n, d - 1), dtype=np.intp)
+    vert = np.full((min(d, n), big), n, dtype=np.intp)
+    pred[slot, rows] = removed[rows, pos]
+    vert[slot, rows] = t[rows, pos]
+    return parent, last, pred, vert
 
 
 # ---------------------------------------------------------------------------
@@ -311,31 +367,76 @@ def _core_linear_forms(a: np.ndarray, n: int, k: int, order: str) -> np.ndarray:
     Row t of the degree-d matrix holds the coefficients, over the degree-d
     monomials, of prod_a (sum_v a[t_a, v] x_v) for the sorted d-tuple t.  At
     d = k the coefficient of x^{m(j)} sums prod_a a[i_a, q_a] over the
-    rearrangements q of j, so S_ij is D_i times it.  Every value is a sum of
-    products of entries of ``a`` with no subtraction added, so the absolute
-    values in a degree-d row sum to at most r^d (r the largest absolute row
-    sum of ``a``), which bounds every intermediate, and nonnegative input
-    keeps exact zeros in float64.  Runs in the dtype of ``a``: int64, object or float64.
+    rearrangements q of j, so S_ij is D_i times it.  Each entry of degree d
+    gathers its terms from its predecessors (``_linear_form_tables``):
+    entry (r, j) sums coef[parent[r], j / x_u] * a[last[r], u] over the
+    distinct vertices u of j, ascending, onto +0.0.  When ``a`` equals its
+    transpose, S is symmetric, and each row block of the last degree fills
+    only the columns from its first row on; the upper triangle is then
+    mirrored, which in float64 also keeps D_i c_ij over D_j c_ji.
+
+    Every value is a sum of products of entries of ``a`` with no subtraction
+    added, so the absolute values in a degree-d row sum to at most r^d (r the
+    largest absolute row sum of ``a``), which bounds every intermediate, and
+    nonnegative input keeps exact zeros in float64.  Runs in the dtype of
+    ``a``: int64, object or float64.
     """
-    coef = a.copy()
-    for parent, last, up in _linear_form_tables(n, k, order):
-        nxt = np.zeros((len(parent), len(parent)), dtype=a.dtype)
-        # row blocks bound the three temporaries of the update below
-        step = max(1, _BLOCK_ELEMS // coef.shape[1])
-        for lo in range(0, len(parent), step):
-            src = coef[parent[lo : lo + step]]
-            weights = a[last[lo : lo + step]]
-            out = nxt[lo : lo + step]
-            for u in range(n):
-                out[:, up[:, u]] += src * weights[:, u : u + 1]
-        coef = nxt
-    _, sizes = _index_data(n, k, order)
-    coef *= np.array(sizes, dtype=a.dtype)[:, None]
-    if coef.dtype == np.float64:
-        # rounding differs between D_i c_ij and D_j c_ji: keep the upper triangle
-        for i in range(1, len(sizes)):
-            coef[i, :i] = coef[:i, i]
-    return coef
+    if a.dtype == np.float64:
+        symmetric = np.array_equal(a, a.T, equal_nan=True)
+    else:
+        symmetric = bool((a == a.T).all())
+    # a with a zero column: the degree-1 coefficients, and the weights of every degree
+    coef = np.zeros((n, n + 1), dtype=a.dtype)
+    coef[:, :n] = a
+    weights = coef
+    sizes = np.array(_index_data(n, k, order)[1], dtype=a.dtype)[:, None]
+    # the update's two temporaries: a row block of _BLOCK_ELEMS entries, or one
+    # row, and never more than the whole last degree
+    room = min(max(_BLOCK_ELEMS, len(sizes)), len(sizes) ** 2)
+    terms, factors = np.empty(room, dtype=a.dtype), np.empty(room, dtype=a.dtype)
+    core = a.copy()  # degree 1, where every orbit size is 1
+    for d in range(2, k + 1):
+        parent, last, pred, vert = _linear_form_tables(n, d, order)
+        big = len(parent)
+        top = d == k
+        # below the last degree, a zero column past the monomials serves the next degree's padding
+        nxt = np.zeros((big, big if top else big + 1), dtype=a.dtype)
+        lo = 0
+        while lo < big:
+            first = lo if top and symmetric else 0
+            width = big - first
+            # the rows gathered from the degree below stay within the bound too
+            hi = min(big, lo + max(1, _BLOCK_ELEMS // max(width, coef.shape[1])))
+            shape = (hi - lo, width)
+            src, row_weights = coef[parent[lo:hi]], weights[last[lo:hi]]
+            out = nxt[lo:hi, first:big]
+            got, factor = terms[: out.size].reshape(shape), factors[: out.size].reshape(shape)
+            for s in range(len(pred)):
+                # every index is in range; "clip" lets take write into out unbuffered
+                src.take(pred[s, first:], axis=1, out=got, mode="clip")
+                row_weights.take(vert[s, first:], axis=1, out=factor, mode="clip")
+                np.multiply(got, factor, out=got)
+                np.add(out, got, out=out)
+            if top:
+                np.multiply(out, sizes[lo:hi], out=out)  # S_ij = D_i times the coefficient
+            lo = hi
+        coef = core = nxt
+    if symmetric:
+        _mirror_upper(core)
+    return core
+
+
+def _mirror_upper(core: np.ndarray) -> None:
+    """Copy the upper triangle of a square matrix over its lower one, in
+    tiles of _MIRROR_TILE rows so that the transposed reads stay contiguous."""
+    size = len(core)
+    lower = np.tri(min(size, _MIRROR_TILE), k=-1, dtype=bool)
+    for lo in range(0, size, _MIRROR_TILE):
+        hi = min(lo + _MIRROR_TILE, size)
+        if lo:
+            core[lo:hi, :lo] = core[:lo, lo:hi].T
+        tile = core[lo:hi, lo:hi]
+        np.copyto(tile, tile.T, where=lower[: hi - lo, : hi - lo])
 
 
 def _int64_bound(method: str, k: int, scaled: np.ndarray, d_max: int) -> int:

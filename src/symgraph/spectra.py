@@ -23,6 +23,9 @@ from .power import SizeBudgetError, _max_dim
 
 DEFAULT_TOL = 1e-8
 
+# matrix entries read at a time by the symmetry check and the halving before eigvalsh
+_CHECK_BLOCK = 1 << 16
+
 
 class JacobiConvergenceError(RuntimeError):
     """The eigensolver did not converge (LAPACK raised ``LinAlgError``)."""
@@ -80,27 +83,50 @@ def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     largest entry).  A solver that fails to converge raises
     :class:`JacobiConvergenceError` rather than returning garbage.
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)  # a float64 array is read, not copied
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     _check_dimension(a.shape[0])
-    scale = max(1.0, float(np.abs(a).max()))
-    asym = float(np.abs(a - a.T).max())
-    if asym > 1e-12 * scale:
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
-    try:
-        # halving each side first: a + a.T overflows near the float64 limit
-        values = np.linalg.eigvalsh(a / 2 + a.T / 2)
-    except np.linalg.LinAlgError as exc:
-        raise JacobiConvergenceError(f"eigenvalue solver failed: {exc}") from exc
-    return Spectrum(tuple(values.tolist()), tol)
+    return _halved_eigenvalues(a, np.empty(a.shape), tol)
 
 
 def eigenvalues_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """:func:`eigenvalues_symmetric` of the n-vertex graph with weight w at
     each 1-based pair (u, v), refused past the budget before the matrix is built."""
     _check_dimension(n)
-    return eigenvalues_symmetric(dense_matrix(n, u, v, w, np.float64), tol)
+    a = dense_matrix(n, u, v, w, np.float64)
+    return _halved_eigenvalues(a, a, tol)  # nothing else holds a, so its halves overwrite it
+
+
+def _halved_eigenvalues(a: np.ndarray, out: np.ndarray, tol: float) -> Spectrum:
+    """Check that the square ``a`` is symmetric, write a / 2 + a.T / 2 into
+    ``out`` (which may be ``a`` itself) and solve it.
+
+    Row blocks of about _CHECK_BLOCK entries read the upper triangle of ``a``
+    and its transpose, so no temporary grows with the matrix; the lower
+    triangle of ``out`` copies its upper one, which floating-point addition,
+    being commutative, makes bit-equal to the halves computed there.
+    """
+    size = len(a)
+    step = max(1, _CHECK_BLOCK // max(size, 1))
+    magnitudes, asymmetries = [], []
+    for lo in range(0, size, step):
+        rows, cols = a[lo : lo + step, lo:], a[lo:, lo : lo + step].T
+        magnitudes += [np.abs(rows).max(), np.abs(cols).max()]
+        asymmetries.append(np.abs(rows - cols).max())
+        # halving each side first: a + a.T overflows near the float64 limit
+        halves = rows / 2 + cols / 2
+        out[lo : lo + step, :lo] = out[:lo, lo : lo + step].T
+        out[lo : lo + step, lo:] = halves
+    scale = max(1.0, float(np.max(magnitudes)))
+    asym = float(np.max(asymmetries))
+    if asym > 1e-12 * scale:
+        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
+    try:
+        values = np.linalg.eigvalsh(out)
+    except np.linalg.LinAlgError as exc:
+        raise JacobiConvergenceError(f"eigenvalue solver failed: {exc}") from exc
+    return Spectrum(tuple(values.tolist()), tol)
 
 
 def _check_dimension(n: int) -> None:

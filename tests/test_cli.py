@@ -385,6 +385,13 @@ def test_spectrum_past_the_size_budget_exits_2_before_building_the_matrix(capsys
     assert peak < 50 * 2**20, peak  # the dense matrix would take 8 n^2 bytes
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["stats", "--spectrum"]], ids=" ".join)
+def test_an_int_weight_past_the_float_range_exits_2_with_one_error_line(capsys, monkeypatch, argv):
+    # the int is exact in the file, but the eigensolver's matrix is float64
+    code, out, err = run_cli(capsys, argv, stdin=f"2\n1 2 {'9' * 400}\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: a weight is past the float64 range\n")
+
+
 def test_verify_status_line_reports_seconds(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "permutation", "--nmax", "3", "--kmax", "2"])
     assert code == 0

@@ -357,6 +357,120 @@ def test_functoriality_of_the_linear_form_core():
     assert cases == 48
 
 
+def test_index_tables_match_the_rank_oracle():
+    # the numpy-built tables against enumerate_multisets, rank and orbit_size
+    from symgraph.power import _index_data, _linear_form_tables
+
+    for n in range(1, 8):
+        for k in range(1, 7):
+            for order in ("paper", "lex"):
+                msets = enumerate_multisets(n, k, order)
+                tuples, sizes = _index_data(n, k, order)
+                assert tuples == tuple(t.entries for t in msets)
+                assert sizes == tuple(orbit_size(t.multiplicity()) for t in msets)
+                if k == 1:
+                    continue
+                parent, last, pred, vert = _linear_form_tables(n, k, order)
+                slots = min(k, n)
+                assert pred.shape == vert.shape == (slots, len(msets))
+                sentinel = (len(enumerate_multisets(n, k - 1, order)), n)
+                for j, t in enumerate(msets):
+                    assert parent[j] == rank(VertexMultiset(t.entries[:-1], n), order)
+                    assert last[j] == t.entries[-1] - 1
+                    want = []
+                    for u in sorted(set(t.entries)):
+                        rest = list(t.entries)
+                        rest.remove(u)
+                        want.append((rank(VertexMultiset(tuple(rest), n), order), u - 1))
+                    want += [sentinel] * (slots - len(want))
+                    assert list(zip(pred[:, j].tolist(), vert[:, j].tolist())) == want
+
+
+def _first_orbit_past_the_limit(n, k, order):
+    from symgraph.combinatorics import CountLimitError
+
+    for t in enumerate_multisets(n, k, order):
+        try:
+            orbit_size(t.multiplicity())
+        except CountLimitError as exc:
+            return str(exc)
+    return None
+
+
+def test_orbit_sizes_past_the_count_limit_refuse_as_orbit_size_does():
+    # C(66, 33) < 2^63 <= C(67, 30): from k = 67 two vertices have orbits past the limit
+    from symgraph.combinatorics import CountLimitError
+    from symgraph.power import _index_data
+
+    assert _first_orbit_past_the_limit(2, 66, "lex") is None
+    assert max(_index_data(2, 66, "lex")[1]) == math.comb(66, 33)
+    for n, k in ((2, 67), (3, 45)):
+        for order in ("paper", "lex"):
+            with pytest.raises(CountLimitError) as exc:
+                _index_data(n, k, order)
+            assert str(exc.value) == _first_orbit_past_the_limit(n, k, order)
+
+
+def _signed_rows(rng, n, weights):
+    rows = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u, n):
+            if rng.random() < 0.7:
+                rows[u][v] = rows[v][u] = rng.choice(weights) * rng.choice((-1, 1))
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object, np.float64], ids=["int64", "object", "float64"])
+def test_linear_form_cores_do_not_depend_on_the_block_size(monkeypatch, dtype):
+    # row blocks of one entry, of 7 entries and of the default size fill the
+    # same bytes; the exact cores also equal the orbit reference's
+    from symgraph import power
+
+    rng = random.Random(f"blocks {dtype}")
+    weights = {np.int64: (1, 2, 3), object: (2**40 + 1, 3**30), np.float64: (0.1, 0.7, 1.3)}[dtype]
+    for n, k, order in ((1, 3, "paper"), (3, 1, "lex"), (3, 4, "paper"), (4, 3, "lex"), (5, 3, "paper")):
+        a = np.array(_signed_rows(rng, n, weights), dtype=dtype)
+        cores = []
+        for block in (1, 7, power._BLOCK_ELEMS):
+            monkeypatch.setattr(power, "_BLOCK_ELEMS", block)
+            cores.append(power._core_linear_forms(a, n, k, order))
+        monkeypatch.undo()
+        assert all(core.dtype == dtype for core in cores)
+        if dtype is object:
+            assert k == 1 or max(map(abs, cores[0].ravel().tolist())) > 2**62
+            assert cores[0].tolist() == cores[1].tolist() == cores[2].tolist()
+        else:
+            assert cores[0].tobytes() == cores[1].tobytes() == cores[2].tobytes()
+        if dtype is not np.float64:
+            assert cores[0].tolist() == power._core_orbit_numpy(a, n, k, order).tolist()
+
+
+def _pinned_float_graph(seed):
+    rng = random.Random(f"pinned float core {seed}")
+    n, k = rng.randint(5, 8), rng.randint(3, 5)
+    weights = {(u, v): rng.choice((-1, 1)) * rng.randint(1, 99) / 10 + rng.random() / 1000
+               for u in range(1, n + 1) for v in range(u, n + 1) if rng.random() < 0.6}
+    return WeightedGraph(n, weights), k, ("paper", "lex")[seed % 2]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "eca318b472ae63a4e241a5c1a1d2af7d2a8fd31a7bc0b3f272b46b3532f904d4"),
+    (1, "fbe7122f02b90c94d202f5f725d9eefd4a91ae63a8ba2509826a9ed61cd4fa43"),
+    (2, "5be73bf8d144b1add57ce9285bbdc7cb14d82bf4fa0a0f0af2e6dd0a04ea734f"),
+    (3, "f98f083d4371187a5a81cfab2e2b33bb36900f9521e90ad977c1bfc8ac7f5f5d"),
+    (4, "00994e4650dfc4b018765adfd810e5150d6e5049a7ca1da0233d036b6ddcc710"),
+])
+def test_signed_float_cores_keep_their_bits(seed, digest):
+    # recorded from the scatter kernel that preceded the gather: the gather
+    # adds each entry's terms in the same order, so every rounding is the same
+    import hashlib
+
+    graph, k, order = _pinned_float_graph(seed)
+    core = sym_power(graph, k, order=order).core
+    assert core.dtype == np.float64
+    assert hashlib.sha256(core.tobytes()).hexdigest() == digest
+
+
 def test_float_mode_close_to_exact():
     g = scepter()
     exact = sym_power(g, 3).to_dense()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from symgraph.cli import main
-from symgraph.graphs import WeightedGraph, adjacency_matrix, path, scepter
+from symgraph.graphs import WeightedGraph, adjacency_matrix, dense_matrix, path, scepter
 from symgraph.power import sym_power
 from symgraph.spectra import (
     JacobiConvergenceError,
@@ -53,6 +53,39 @@ def test_eigenvalues_near_the_float64_limit():
 def test_eigenvalues_rejects_asymmetric():
     with pytest.raises(ValueError):
         eigenvalues_symmetric([[0.0, 1.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_the_solver_gets_the_halved_matrix_in_any_block_size(monkeypatch, block):
+    # the blocked check and halving hand eigvalsh the bits of a / 2 + a.T / 2
+    # and leave the caller's matrix as it was
+    from symgraph import spectra
+
+    monkeypatch.setattr(spectra, "_CHECK_BLOCK", block)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m.copy()) or eigvalsh(m))
+    rng = np.random.default_rng(29)
+    for size in (1, 2, 5, 13):
+        a = rng.normal(size=(size, size)) * 10.0 ** rng.integers(-300, 300, size=(size, size))
+        a[np.tril_indices(size, -1)] = a.T[np.tril_indices(size, -1)] * (1 + 1e-15)  # symmetric to the tolerance
+        before = a.copy()
+        spec = eigenvalues_symmetric(a)
+        assert np.array_equal(a, before)
+        want = a / 2 + a.T / 2
+        assert solved.pop().tobytes() == want.tobytes()
+        assert spec.values == tuple(sorted(eigvalsh(want).tolist()))
+        # an asymmetric pair in the last row is found in any block
+        if size > 1:
+            a[-1, 0] += np.abs(a).max()
+            with pytest.raises(ValueError, match="not symmetric"):
+                eigenvalues_symmetric(a)
+    # from edge arrays the halves overwrite the matrix that was built for them
+    u, v = np.triu_indices(9)
+    w = rng.normal(size=len(u))
+    a = dense_matrix(9, u + 1, v + 1, w, np.float64)
+    assert spectra.eigenvalues_edges(9, u + 1, v + 1, w).values == eigenvalues_symmetric(a).values
+    assert solved[-2].tobytes() == solved[-1].tobytes() == (a / 2 + a.T / 2).tobytes()
 
 
 def test_eigenvalue_trace_identity():
