@@ -30,7 +30,7 @@ from .fileio import (
 from .graphs import FAMILY_NAMES, family
 # sym_power itself is not called here: the benchmark's tracer wraps every
 # module binding of it, and bench/test_bench.py checks that this one is reached
-from .power import METHODS, sym_power, sym_power_edges  # noqa: F401
+from .power import METHODS, sym_power, sym_power_upper_blocks  # noqa: F401
 from .spectra import JacobiConvergenceError, eigenvalues_edges
 
 # the theorem suites in run order, each run by symgraph.verify.suite_<name>;
@@ -60,13 +60,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    power = sym_power_edges(*_load_edges(args.input), args.k, method=args.method, order=args.order)
-    if args.exact and not power.exact:
-        raise ValueError("--exact requires a graph with rational weights")
-    blocks = power.upper_blocks(edges=not args.exact)
-    if args.exact:
-        blocks = ((rows, cols, list(map(power.entry_exact, rows.tolist(), cols.tolist()))) for rows, cols, _ in blocks)
-    _write_output(edge_text_blocks(power.dim, ((rows + 1, cols + 1, w) for rows, cols, w in blocks)), args.output)
+    dim, blocks = sym_power_upper_blocks(*_load_edges(args.input), args.k, method=args.method, order=args.order,
+                                         exact=args.exact)
+    _write_output(edge_text_blocks(dim, ((rows + 1, cols + 1, w) for rows, cols, w in blocks)), args.output)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -142,7 +143,7 @@ def edge_arrays(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """The graph's weighted pairs, sorted: 1-based ends u <= v as int64 and
     an object array of the weights as stored."""
     pairs = sorted(graph._weights)
-    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    u, v = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2).T
     return u, v, np.array([graph._weights[p] for p in pairs], dtype=object)
 
 

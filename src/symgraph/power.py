@@ -19,9 +19,13 @@ Two independent kernels fill the core:
                    of x^m(j) in prod_a (sum_v A[i_a, v] x_v), where m(j) counts
                    the vertices of j.  The products are expanded one degree at
                    a time for all rows at once: each entry of degree d gathers
-                   its at most min(d, n) terms from degree d-1, and when A is
-                   symmetric the last degree fills only its upper triangle,
-                   which is then mirrored.
+                   its at most min(d, n) terms from degree d-1.  The last
+                   degree comes out a block of rows at a time, and when A is
+                   symmetric each block holds only the columns from its
+                   first row on.  ``sym_power`` fills one core with the
+                   blocks and mirrors its upper triangle;
+                   ``sym_power_upper_blocks`` turns each block into edges as
+                   it comes, so ``power`` never holds the N x N core.
                    The method is named for the identity S[i][j] =
                    D[i] * D[j] / k! * perm(A[i_a, j_b]);
                    ``ryser_permanent`` and ``entry_permanent`` evaluate that
@@ -50,9 +54,9 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
-from typing import Iterator, Sequence
+from functools import lru_cache, partial
+from itertools import chain, combinations_with_replacement, product, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +87,11 @@ _ORDERED_TABLE_CAP = 2_000_000
 _ORBIT_CHUNK = 8192
 
 _INT64_SAFE = 2**62
+
+# a streamed power skips its float64-range check pass when the kernel's bound
+# on every core entry, over L^k, is below this; the margin under 2^1024
+# covers float64 rounding
+_FLOAT_SAFE = 2**1000
 
 # elements in each temporary of one linear-form update: 128 KiB at 8 bytes,
 # small enough to stay in cache, which measured faster than whole levels
@@ -361,8 +370,35 @@ def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str):
     return core
 
 
-def _core_linear_forms(a: np.ndarray, n: int, k: int, order: str) -> np.ndarray:
-    """Core by expanding the product of linear forms, one degree at a time.
+def _is_symmetric(a: np.ndarray) -> bool:
+    if a.dtype == np.float64:
+        return np.array_equal(a, a.T, equal_nan=True)
+    return bool((a == a.T).all())
+
+
+def _gather(out: np.ndarray, coef: np.ndarray, weights: np.ndarray, tables: tuple[np.ndarray, ...], lo: int,
+            first: int, terms: np.ndarray, factors: np.ndarray) -> None:
+    """Add rows lo:lo+len(out) of the next degree, columns from ``first`` on,
+    to ``out``: entry (r, j) gains coef[parent[r], pred[s, j]] *
+    weights[last[r], vert[s, j]] for each slot s in turn.  ``terms`` and
+    ``factors`` hold the two temporaries."""
+    parent, last, pred, vert = tables
+    hi = lo + len(out)
+    src, row_weights = coef[parent[lo:hi]], weights[last[lo:hi]]
+    got, factor = terms[: out.size].reshape(out.shape), factors[: out.size].reshape(out.shape)
+    for s in range(len(pred)):
+        # every index is in range; "clip" lets take write into out unbuffered
+        src.take(pred[s, first:], axis=1, out=got, mode="clip")
+        row_weights.take(vert[s, first:], axis=1, out=factor, mode="clip")
+        np.multiply(got, factor, out=got)
+        np.add(out, got, out=out)
+
+
+def _linear_form_blocks(a: np.ndarray, n: int, k: int, order: str,
+                        whole: Callable[[np.ndarray], None] | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The core S of Sym^k(a) by expanding the product of linear forms, one
+    degree at a time, yielded as the last degree's row blocks (lo, first,
+    block): rows lo:lo+len(block) of S, columns from ``first`` on.
 
     Row t of the degree-d matrix holds the coefficients, over the degree-d
     monomials, of prod_a (sum_v a[t_a, v] x_v) for the sorted d-tuple t.  At
@@ -371,57 +407,77 @@ def _core_linear_forms(a: np.ndarray, n: int, k: int, order: str) -> np.ndarray:
     gathers its terms from its predecessors (``_linear_form_tables``):
     entry (r, j) sums coef[parent[r], j / x_u] * a[last[r], u] over the
     distinct vertices u of j, ascending, onto +0.0.  When ``a`` equals its
-    transpose, S is symmetric, and each row block of the last degree fills
-    only the columns from its first row on; the upper triangle is then
-    mirrored, which in float64 also keeps D_i c_ij over D_j c_ji.
+    transpose, S is symmetric and each block starts at its first row
+    (first = lo); otherwise it holds every column (first = 0).
 
     Every value is a sum of products of entries of ``a`` with no subtraction
     added, so the absolute values in a degree-d row sum to at most r^d (r the
     largest absolute row sum of ``a``), which bounds every intermediate, and
     nonnegative input keeps exact zeros in float64.  Runs in the dtype of
     ``a``: int64, object or float64.
+
+    The lower degrees are held whole, the last one a block at a time: each
+    block is scratch, overwritten by the next one, unless ``whole`` is given.
+    Then the N x N last degree is allocated once the lower degrees are done,
+    handed to ``whole``, and every block is a view of it.
     """
-    if a.dtype == np.float64:
-        symmetric = np.array_equal(a, a.T, equal_nan=True)
-    else:
-        symmetric = bool((a == a.T).all())
+    upper = _is_symmetric(a)
     # a with a zero column: the degree-1 coefficients, and the weights of every degree
     coef = np.zeros((n, n + 1), dtype=a.dtype)
     coef[:, :n] = a
     weights = coef
     sizes = np.array(_index_data(n, k, order)[1], dtype=a.dtype)[:, None]
-    # the update's two temporaries: a row block of _BLOCK_ELEMS entries, or one
+    big = len(sizes)
+    # the update's temporaries: a row block of _BLOCK_ELEMS entries, or one
     # row, and never more than the whole last degree
-    room = min(max(_BLOCK_ELEMS, len(sizes)), len(sizes) ** 2)
+    room = min(max(_BLOCK_ELEMS, big), big**2)
     terms, factors = np.empty(room, dtype=a.dtype), np.empty(room, dtype=a.dtype)
-    core = a.copy()  # degree 1, where every orbit size is 1
-    for d in range(2, k + 1):
-        parent, last, pred, vert = _linear_form_tables(n, d, order)
-        big = len(parent)
-        top = d == k
-        # below the last degree, a zero column past the monomials serves the next degree's padding
-        nxt = np.zeros((big, big if top else big + 1), dtype=a.dtype)
-        lo = 0
-        while lo < big:
-            first = lo if top and symmetric else 0
-            width = big - first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(2, k):
+            tables = _linear_form_tables(n, d, order)
+            size = len(tables[0])
+            # a zero column past the monomials serves the next degree's padding
+            nxt = np.zeros((size, size + 1), dtype=a.dtype)
             # the rows gathered from the degree below stay within the bound too
-            hi = min(big, lo + max(1, _BLOCK_ELEMS // max(width, coef.shape[1])))
-            shape = (hi - lo, width)
-            src, row_weights = coef[parent[lo:hi]], weights[last[lo:hi]]
-            out = nxt[lo:hi, first:big]
-            got, factor = terms[: out.size].reshape(shape), factors[: out.size].reshape(shape)
-            for s in range(len(pred)):
-                # every index is in range; "clip" lets take write into out unbuffered
-                src.take(pred[s, first:], axis=1, out=got, mode="clip")
-                row_weights.take(vert[s, first:], axis=1, out=factor, mode="clip")
-                np.multiply(got, factor, out=got)
-                np.add(out, got, out=out)
-            if top:
-                np.multiply(out, sizes[lo:hi], out=out)  # S_ij = D_i times the coefficient
-            lo = hi
-        coef = core = nxt
-    if symmetric:
+            step = max(1, _BLOCK_ELEMS // max(size, coef.shape[1]))
+            for lo in range(0, size, step):
+                _gather(nxt[lo : lo + step, :size], coef, weights, tables, lo, 0, terms, factors)
+            coef = nxt
+    tables = _linear_form_tables(n, k, order) if k > 1 else None
+    if whole is None:
+        scratch = np.empty(room, dtype=a.dtype)
+    else:
+        top = np.zeros((big, big), dtype=a.dtype)
+        whole(top)
+    lo = 0
+    while lo < big:
+        first = lo if upper else 0
+        width = big - first
+        hi = min(big, lo + max(1, _BLOCK_ELEMS // max(width, coef.shape[1])))
+        if whole is None:
+            block = scratch[: (hi - lo) * width].reshape(hi - lo, width)
+            block.fill(0)
+        else:
+            block = top[lo:hi, first:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if tables is None:
+                block[...] = a[lo:hi, first:]  # degree 1, where every orbit size is 1
+            else:
+                _gather(block, coef, weights, tables, lo, first, terms, factors)
+                np.multiply(block, sizes[lo:hi], out=block)  # S_ij = D_i times the coefficient
+        yield lo, first, block
+        lo = hi
+
+
+def _core_linear_forms(a: np.ndarray, n: int, k: int, order: str) -> np.ndarray:
+    """The whole core of ``_linear_form_blocks``: its blocks are filled in
+    place in one N x N array.  When ``a`` is symmetric the upper triangle is
+    then mirrored, which in float64 also keeps D_i c_ij over D_j c_ji."""
+    top: list[np.ndarray] = []
+    for _ in _linear_form_blocks(a, n, k, order, top.append):
+        pass
+    (core,) = top
+    if _is_symmetric(a):
         _mirror_upper(core)
     return core
 
@@ -439,15 +495,84 @@ def _mirror_upper(core: np.ndarray) -> None:
         np.copyto(tile, tile.T, where=lower[: hi - lo, : hi - lo])
 
 
-def _int64_bound(method: str, k: int, scaled: np.ndarray, d_max: int) -> int:
-    """Largest absolute value any int64 intermediate of the core can reach,
-    for the integer matrix ``scaled`` held as Python ints."""
+def _core_bound(method: str, k: int, scaled: np.ndarray, d_max: int):
+    """Largest absolute value any intermediate of the core can reach, for
+    the matrix ``scaled`` held as Python ints or float64."""
     magnitude = np.abs(scaled)
     if method == "orbit":
         # d_max^2 rearrangement pairs per entry, each a product of k weights
         return d_max * d_max * (magnitude.max() or 1) ** k
     # linear forms: a degree-d row's coefficients sum to at most r^d in absolute value
     return d_max * magnitude.sum(axis=1).max() ** k
+
+
+def _float_values(values: np.ndarray, denominator: int) -> np.ndarray:
+    """Core entries as float64 S values, dividing by ``denominator`` exactly."""
+    try:
+        if denominator == 1:
+            return values.astype(np.float64)
+        # Python int division rounds once; float64 division would round
+        # the numerator or L^k first once either passes 2^53
+        return (values.astype(object) / denominator).astype(np.float64)
+    except OverflowError:
+        raise ValueError("a power entry is past the float64 range; entry_exact (power --exact) holds it") from None
+
+
+def _check_float_range(values: np.ndarray, denominator: int) -> None:
+    """Refuse core entries whose S value is past the float64 range: an
+    entry of an exact core too large for a float, or a float core's inf or nan."""
+    ends = _float_values(np.array([values.min(), values.max()], dtype=object), denominator)
+    if not np.isfinite(ends).all():
+        raise ValueError("a power entry is past the float64 range")
+
+
+def _exact_weight(s: int, d: int, denominator: int) -> ExactWeight:
+    """The entry S / (denominator * sqrt(d)), d = D_i * D_j, as an exact weight."""
+    return ExactWeight.make(Fraction(s, denominator * d), d)
+
+
+def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int, ...], denominator: int,
+                 weights: str | None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | list | None]]:
+    """0-based (rows, cols, weights) of the nonzero entries with row <= col of
+    a core given as pieces (lo, first, block): rows lo:lo+len(block), columns
+    from ``first`` on, in row order.  A piece is read before the next one is
+    asked for, and consecutive pieces are joined while they scan at most
+    ``_SUPPORT_BLOCK`` entries together, so every block is one writer block.
+
+    ``weights`` None gives no weights.  ``"float"`` gives float64 weights
+    S_ij / sqrt(D_i * D_j), bit-equal to ``SymPowerMatrix.to_dense()``, and
+    leaves out pairs whose weight underflows to 0.0.  ``"exact"`` gives one
+    :class:`ExactWeight` per pair.
+    """
+    d = np.array(sizes, dtype=np.float64)
+
+    def weighted(rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+        if weights is None:
+            return rows, cols, None
+        if weights == "exact":
+            radicands = map(int.__mul__, map(sizes.__getitem__, rows.tolist()), map(sizes.__getitem__, cols.tolist()))
+            return rows, cols, list(map(_exact_weight, values.tolist(), radicands, repeat(denominator)))
+        w = _float_values(values, denominator)
+        root = d[rows]
+        root *= d[cols]
+        w /= np.sqrt(root, out=root)
+        keep = w != 0.0
+        if keep.all():
+            return rows, cols, w
+        return rows[keep], cols[keep], w[keep]
+
+    parts, scanned = [], 0
+    for lo, first, block in chain(pieces, [(0, 0, None)]):
+        if parts and (block is None or scanned + block.size > _SUPPORT_BLOCK):
+            rows, cols, values = (np.concatenate(x) for x in zip(*parts))
+            parts, scanned = [], 0
+            yield weighted(rows, cols, values)
+        if block is not None:
+            rows, cols = np.nonzero(block)
+            upper = cols + first >= rows + lo
+            rows, cols = rows[upper], cols[upper]
+            parts.append((rows + lo, cols + first, block[rows, cols]))
+            scanned += block.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,24 +614,19 @@ class SymPowerMatrix:
     def entry_exact(self, i: int, j: int) -> ExactWeight:
         if not self.exact:
             raise ValueError("matrix was computed in float mode; exact entries unavailable")
-        d = self.orbit_sizes[i] * self.orbit_sizes[j]
-        return ExactWeight.make(Fraction(self.core.item(i, j), self.denominator * d), d)
-
-    def _float_core(self, core: np.ndarray) -> np.ndarray:
-        """Core entries as float64 S values, dividing by ``denominator`` exactly."""
-        try:
-            if self.denominator == 1:
-                return core.astype(np.float64)
-            # Python int division rounds once; float64 division would round
-            # the numerator or L^k first once either passes 2^53
-            return (core.astype(object) / self.denominator).astype(np.float64)
-        except OverflowError:
-            raise ValueError("a power entry is past the float64 range; entry_exact (power --exact) holds it") from None
+        return _exact_weight(self.core.item(i, j), self.orbit_sizes[i] * self.orbit_sizes[j], self.denominator)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the float matrix E = S / sqrt(D outer D)."""
         d = np.array(self.orbit_sizes, dtype=np.float64)
-        return self._float_core(self.core) / np.sqrt(np.outer(d, d))
+        return _float_values(self.core, self.denominator) / np.sqrt(np.outer(d, d))
+
+    def _pieces(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The core's upper part as ``_edge_blocks`` pieces of about
+        ``_SUPPORT_BLOCK`` entries from the diagonal on."""
+        step = max(1, _SUPPORT_BLOCK // self.dim)
+        for lo in range(0, self.dim, step):
+            yield lo, lo, self.core[lo : lo + step, lo:]
 
     def upper_blocks(self, edges: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
         """0-based (rows, cols, weights) of the nonzero core entries with row <=
@@ -518,24 +638,8 @@ class SymPowerMatrix:
         An entry past the float64 range, or a float core's inf or nan,
         raises ValueError here, before the first block."""
         if edges and self.path != "int64":
-            ends = self._float_core(np.array([self.core.min(), self.core.max()], dtype=object))
-            if not np.isfinite(ends).all():
-                raise ValueError("a power entry is past the float64 range")
-        return self._upper_blocks(edges)
-
-    def _upper_blocks(self, edges: bool):
-        d = np.array(self.orbit_sizes, dtype=np.float64)
-        step = max(1, _SUPPORT_BLOCK // self.dim)
-        for lo in range(0, self.dim, step):
-            rows, cols = np.nonzero(self.core[lo : lo + step, lo:])
-            upper = cols >= rows
-            rows, cols = rows[upper] + lo, cols[upper] + lo
-            if not edges:
-                yield rows, cols, None
-                continue
-            weights = self._float_core(self.core[rows, cols]) / np.sqrt(d[rows] * d[cols])
-            keep = weights != 0.0
-            yield rows[keep], cols[keep], weights[keep]
+            _check_float_range(self.core, self.denominator)
+        return _edge_blocks(self._pieces(), self.orbit_sizes, self.denominator, "float" if edges else None)
 
     def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero pairs of the float matrix with row <= col and their
@@ -555,25 +659,21 @@ class SymPowerMatrix:
         return WeightedGraph(self.dim, edges, self.vertex_labels())
 
 
-def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: str = "paper") -> SymPowerMatrix:
-    """Adjacency matrix of the k-th symmetric tensor power of ``graph``."""
-    return sym_power_edges(graph.n, *edge_arrays(graph), k, method=method, order=order)
+class _Scaled(NamedTuple):
+    """The kernel's input matrix and what was decided before any kernel runs."""
+
+    a: np.ndarray  # the weights scaled by L, in the dtype of path
+    exact: bool
+    path: str  # "int64", "object" or "float64"
+    denominator: int  # L^k
+    tuples: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
 
 
-def sym_power_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str = "permanent",
-                    order: str = "paper") -> SymPowerMatrix:
-    """The k-th symmetric tensor power of the n-vertex graph with weight w at
-    each 1-based pair (u, v).
-
-    Rational input weights produce an exact core; any float weight switches
-    the whole core to float64.  The result is deterministic for fixed
-    arguments.  Raises :class:`SizeBudgetError` before allocating when the
-    power dimension exceeds the SYMTENSOR_MAX_N environment variable
-    (default 5000), when the core would take more bytes
-    than an int64 core of that dimension (8 bytes per int64 or float64
-    entry, about 68 per object entry), and for ``method="orbit"`` when n^k
-    exceeds 2,000,000.
-    """
+def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str, order: str) -> _Scaled:
+    """Check the arguments and both size budgets, choose the exact or float
+    path, scale rational weights to integers by their common denominator L,
+    and choose int64 or Python ints by the bound on every intermediate."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if k < 1:
@@ -598,7 +698,7 @@ def sym_power_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int,
         scale = math.lcm(*(x.denominator for x in w))
         denominator = scale**k
         a = dense_matrix(n, u, v, w * scale // 1, object)  # Fraction // 1 is an int
-        fits = _int64_bound(method, k, a, max(sizes)) < _INT64_SAFE
+        fits = _core_bound(method, k, a, max(sizes)) < _INT64_SAFE
         path = "int64" if fits else "object"
         a = a.astype(path)
     else:
@@ -610,23 +710,69 @@ def sym_power_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int,
     if path == "object" and need > allowed:
         raise SizeBudgetError(f"the {path} core of N={big} (n={n}, k={k}) would take about {need:,} bytes, more than "
                               f"the {allowed:,} of an int64 core at the budget {cap}; raise {MAX_DIM_ENV} to override")
+    return _Scaled(a, exact, path, denominator, tuples, sizes)
+
+
+def _whole_power(s: _Scaled, n: int, k: int, method: str, order: str) -> SymPowerMatrix:
     kernel = _core_linear_forms if method == "permanent" else _core_orbit_numpy
     # upper_blocks reports a float core past the float64 range (inf or nan) as one error
     with np.errstate(over="ignore", invalid="ignore"):
-        core = kernel(a, n, k, order)
+        core = kernel(s.a, n, k, order)
+    return SymPowerMatrix(n=n, k=k, order=order, method=method, exact=s.exact, path=s.path,
+                          denominator=s.denominator, tuples=s.tuples, orbit_sizes=s.sizes, core=core)
 
-    return SymPowerMatrix(
-        n=n,
-        k=k,
-        order=order,
-        method=method,
-        exact=exact,
-        path=path,
-        denominator=denominator,
-        tuples=tuples,
-        orbit_sizes=sizes,
-        core=core,
-    )
+
+def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: str = "paper") -> SymPowerMatrix:
+    """Adjacency matrix of the k-th symmetric tensor power of ``graph``."""
+    return sym_power_edges(graph.n, *edge_arrays(graph), k, method=method, order=order)
+
+
+def sym_power_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str = "permanent",
+                    order: str = "paper") -> SymPowerMatrix:
+    """The k-th symmetric tensor power of the n-vertex graph with weight w at
+    each 1-based pair (u, v).
+
+    Rational input weights produce an exact core; any float weight switches
+    the whole core to float64.  The result is deterministic for fixed
+    arguments.  Raises :class:`SizeBudgetError` before allocating when the
+    power dimension exceeds the SYMTENSOR_MAX_N environment variable
+    (default 5000), when the core would take more bytes
+    than an int64 core of that dimension (8 bytes per int64 or float64
+    entry, about 68 per object entry), and for ``method="orbit"`` when n^k
+    exceeds 2,000,000.
+    """
+    return _whole_power(_scaled(n, u, v, w, k, method, order), n, k, method, order)
+
+
+def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str = "permanent",
+                           order: str = "paper", exact: bool = False) -> tuple[int, Iterator]:
+    """The dimension N of the power of ``sym_power_edges`` and the blocks of
+    its nonzero pairs with row <= col: float64 weights as
+    ``SymPowerMatrix.upper_blocks(edges=True)`` gives them, or with
+    ``exact`` one :class:`ExactWeight` per pair, as ``entry_exact`` gives it.
+
+    ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, so
+    no N x N core is held; ``"orbit"``, the reference, builds the whole core.
+    Every refusal comes before this returns: those of ``sym_power_edges``,
+    ``exact`` on float input (before any kernel runs), and an entry past the
+    float64 range.  When the kernel's bound on every entry over L^k
+    (D_max * r^k / L^k for ``permanent``) cannot rule that out, the stream
+    runs twice: once to check, once to write.
+    """
+    s = _scaled(n, u, v, w, k, method, order)
+    if exact and not s.exact:
+        raise ValueError("--exact requires a graph with rational weights")
+    if method == "orbit":
+        pieces = _whole_power(s, n, k, method, order)._pieces
+    else:
+        pieces = partial(_linear_form_blocks, s.a, n, k, order)
+    if not exact and s.path != "int64":
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _core_bound(method, k, s.a, max(s.sizes))
+        if not bound < _FLOAT_SAFE * s.denominator:
+            for _, _, block in pieces():
+                _check_float_range(block, s.denominator)
+    return len(s.sizes), _edge_blocks(pieces(), s.sizes, s.denominator, "exact" if exact else "float")
 
 
 def sym_power_graph(graph: WeightedGraph, k: int, method: str = "permanent", order: str = "paper") -> WeightedGraph:

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 import symgraph.cli
+import symgraph.power
 from symgraph.cli import main
 from symgraph.fileio import parse_graph, write_stats_json
 from symgraph.graphs import WeightedGraph, edge_arrays, path
-from symgraph.power import SymPowerMatrix, sym_power
+from symgraph.power import sym_power
 from symgraph.verify import run_suites
 
 
@@ -320,10 +321,10 @@ def test_power_output_bytes_match_entries(capsys, monkeypatch, source):
     assert out == _rendered(power, lambda p, i, j: p.entry(i, j))
     if power.exact:
         calls = []
-        entry_exact = SymPowerMatrix.entry_exact
-        monkeypatch.setattr(SymPowerMatrix, "entry_exact", lambda *args: calls.append(1) or entry_exact(*args))
+        exact_weight = symgraph.power._exact_weight
+        monkeypatch.setattr(symgraph.power, "_exact_weight", lambda *args: calls.append(1) or exact_weight(*args))
         code, out, _ = run_cli(capsys, ["power", "-k", "3", "--exact"], stdin=stdin, monkeypatch=monkeypatch)
-        monkeypatch.setattr(SymPowerMatrix, "entry_exact", entry_exact)
+        monkeypatch.setattr(symgraph.power, "_exact_weight", exact_weight)
         assert code == 0
         assert out == _rendered(power, lambda p, i, j: p.entry_exact(i, j))
         assert len(calls) == out.count("\n") - 1 > 0  # one token per nonzero pair, none for zeros
@@ -446,6 +447,49 @@ def test_streamed_power_equals_the_joined_arrays_in_any_block_size(capsys, monke
         assert out == text, (path, exact)
 
 
+WHOLE_CORE_GRAPHS = {
+    "int64": SIGNED_TEXT,
+    "object": STREAM_GRAPHS["object"],  # intermediates past the int64 bound
+    "fraction": RATIONAL,
+    "float": "4\n1 2 0.3\n2 2 1.7\n2 3 2.5e-3\n3 4 1e16\n",
+    "signed float": FLOAT_TEXT,
+    "edgeless": "4\n",
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_streamed_power_equals_the_whole_core(capsys, monkeypatch, block):
+    # power streams the last degree's row blocks to the writer; its bytes are
+    # those of the whole core, entry by entry, for blocks that end mid-row too
+    if block is not None:
+        monkeypatch.setattr(symgraph.power, "_BLOCK_ELEMS", block)
+    paths, load = set(), symgraph.cli._load_edges
+    for name, source in WHOLE_CORE_GRAPHS.items():
+        if isinstance(source, str):
+            graph, stdin = parse_graph(source), source
+            monkeypatch.setattr(symgraph.cli, "_load_edges", load)
+        else:
+            graph, stdin = source, None  # no graph file holds a Fraction
+            monkeypatch.setattr(symgraph.cli, "_load_edges", lambda path: (graph.n, *edge_arrays(graph)))
+        for k in (1, 3):
+            for order in ("paper", "lex"):
+                power = sym_power(graph, k, order=order)
+                paths.add(power.path)
+                runs = [(False, lambda p, i, j: p.entry(i, j))]
+                if power.exact:
+                    runs.append((True, lambda p, i, j: p.entry_exact(i, j)))
+                for exact, weight in runs:
+                    argv = ["power", "-k", str(k), "--order", order] + ["--exact"] * exact
+                    code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+                    assert (code, err) == (0, ""), (name, argv)
+                    assert out == _rendered(power, weight), (name, argv)
+                    if power.exact:
+                        # the orbit kernel, the reference, builds the whole core
+                        argv += ["--method", "orbit"]
+                        assert run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch) == (0, out, ""), argv
+    assert paths == {"int64", "object", "float64"}
+
+
 def _random_graph_file(rng):
     """A seeded graph file: pairs in any order, loops, zero and float
     weights, comments; sometimes a duplicate or a bad line at the end."""
@@ -548,6 +592,50 @@ def test_commands_reading_a_dense_power_run_in_bounded_memory(tmp_path):
     assert all(mb <= bare + 60 for mb in peaks.values()), (bare, peaks)
 
 
+def test_power_at_the_top_of_the_budget_runs_in_bounded_memory(tmp_path):
+    # power -k 5 of complete_loops 12 (N = 4,368, 9.5M pairs) streams the last
+    # degree to the writer, where its whole int64 core alone would take
+    # 153 MB; the process may peak at most 40 MB above a bare import of the CLI
+    import os
+
+    source = tmp_path / "family.txt"
+    assert main(["family", "complete_loops", "12", "-o", str(source)]) == 0
+    shim = "import sys; from symgraph.cli import main; sys.exit(main())"
+    bare = _peak_mb(["import symgraph.cli"])
+    power_mb = _peak_mb([shim, "power", "-k", "5", "-o", os.devnull, str(source)])
+    assert power_mb <= bare + 40, (bare, power_mb)
+
+
+def test_closed_forms_hold_through_the_streamed_power_at_pipeline_scale(capsys, monkeypatch):
+    from symgraph import analysis
+    from symgraph.combinatorics import enumerate_multisets
+
+    def pipeline(name, n, k):
+        _, text, _ = run_cli(capsys, ["family", name, str(n)])
+        code, power_text, _ = run_cli(capsys, ["power", "-k", str(k)], stdin=text, monkeypatch=monkeypatch)
+        assert code == 0
+        code, stats_text, _ = run_cli(capsys, ["stats"], stdin=power_text, monkeypatch=monkeypatch)
+        assert code == 0
+        return power_text, json.loads(stats_text)
+
+    # cycle 30, k=3: N = 4,960, the largest cycle power under the default budget
+    _, stats = pipeline("cycle", 30, 3)
+    assert stats["n"] == math.comb(32, 3)
+    assert stats["components"] == analysis.cycle_components(30, 3)
+    # complete_loops 9, k=5: every pair is an edge, each vertex has a loop
+    power_text, stats = pipeline("complete_loops", 9, 5)
+    dim = math.comb(13, 5)
+    assert (stats["n"], stats["edges"], stats["loops"], stats["components"]) == (dim, dim * (dim + 1) // 2, dim, 1)
+    assert stats["degrees"] == [dim] * dim
+    # the written weights are sqrt(D_i * D_j), up to float64 rounding
+    tuples = enumerate_multisets(9, 5)
+    lines = power_text.splitlines()[1:]
+    for line in lines[:: len(lines) // 500]:
+        i, j, w = line.split()
+        want = analysis.power_edge_weight_complete_loops(tuples[int(i) - 1], tuples[int(j) - 1])
+        assert float(w) == pytest.approx(float(want), rel=2**-50), line
+
+
 def test_verify_kernels_runs_in_bounded_memory():
     # the kernels suite's workers send back only the cases that disagree, so
     # the process tree (wait4 reports its largest member) stays near a bare import
@@ -566,3 +654,15 @@ def test_power_past_the_core_bytes_budget_exit_code(tmp_path, capsys, monkeypatc
     assert err.startswith("error: the object core of N=10") and "SYMTENSOR_MAX_N" in err
     code, out, _ = run_cli(capsys, ["power", "-k", "2", str(source)])
     assert code == 0 and out.startswith("6\n")
+
+
+@pytest.mark.parametrize("method", ["permanent", "orbit"])
+def test_exact_power_of_a_float_graph_refuses_before_any_kernel_runs(capsys, monkeypatch, method):
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for name in ("_linear_form_blocks", "_core_linear_forms", "_core_orbit_numpy"):
+        monkeypatch.setattr(symgraph.power, name, kernel)
+    argv = ["power", "-k", "3", "--exact", "--method", method]
+    code, out, err = run_cli(capsys, argv, stdin="3\n1 2 0.5\n2 3\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: --exact requires a graph with rational weights\n")
