@@ -282,6 +282,13 @@ def _check_pair(rows: list[list], i: VertexMultiset, j: VertexMultiset) -> None:
         raise ValueError(f"matrix is {len(rows)}x{len(rows)} but tuples are over n={i.n}")
 
 
+def _read_matrix(matrix) -> tuple[list[list], bool]:
+    """The rows of a square matrix as Python numbers and whether all of them
+    are rational: what the per-entry kernels read, once per matrix."""
+    rows = square_rows(matrix)
+    return rows, all_rational(chain.from_iterable(rows))
+
+
 def entry_orbit_sum(matrix, i: VertexMultiset, j: VertexMultiset):
     """One entry of Sym^k(matrix) by the defining double sum (the reference kernel).
 
@@ -291,7 +298,11 @@ def entry_orbit_sum(matrix, i: VertexMultiset, j: VertexMultiset):
     |orbit(i)| * |orbit(j)| * k.  Returns an :class:`ExactWeight` when the
     matrix is rational, a float otherwise.
     """
-    rows = square_rows(matrix)
+    return _entry_orbit_sum(*_read_matrix(matrix), i, j)
+
+
+def _entry_orbit_sum(rows: list[list], rational: bool, i: VertexMultiset, j: VertexMultiset):
+    """``entry_orbit_sum`` on the rows and rationality of ``_read_matrix``."""
     _check_pair(rows, i, j)
     total = 0
     orbit_j = enumerate_orbit(j)
@@ -306,7 +317,7 @@ def entry_orbit_sum(matrix, i: VertexMultiset, j: VertexMultiset):
             else:
                 total += prod
     d = orbit_size(i.multiplicity()) * orbit_size(j.multiplicity())
-    if all_rational(chain.from_iterable(rows)):
+    if rational:
         return ExactWeight.make(Fraction(total, d), d)
     return total / math.sqrt(d)
 
@@ -318,7 +329,11 @@ def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset):
     double sum collapses to perm(B) / sqrt(prod of multiplicity factorials),
     where B[a][b] = matrix[i_a][j_b].  Refuses k > PERMANENT_CAP.
     """
-    rows = square_rows(matrix)
+    return _entry_permanent(*_read_matrix(matrix), i, j)
+
+
+def _entry_permanent(rows: list[list], rational: bool, i: VertexMultiset, j: VertexMultiset):
+    """``entry_permanent`` on the rows and rationality of ``_read_matrix``."""
     _check_pair(rows, i, j)
     k = i.k
     if k > PERMANENT_CAP:
@@ -332,7 +347,7 @@ def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset):
         m *= math.factorial(c)
     for c in j.multiplicity().counts:
         m *= math.factorial(c)
-    if all_rational(chain.from_iterable(rows)):
+    if rational:
         return ExactWeight.make(Fraction(perm, m), m)
     return perm / math.sqrt(m)
 

@@ -4,10 +4,21 @@ Each suite compares computed powers against an independent prediction --
 closed forms, brute-force enumeration, or a second kernel -- and returns a
 :class:`SuiteResult` carrying machine-readable failures.  The CLI prints one
 ``FAIL <suite> <case> <expected> <got>`` line per failure and exits nonzero
-when any suite failed.  Suites are deterministic for a given seed: the
-``kernels`` suite spreads its independent graphs over worker processes
-(see :func:`suite_kernels`) but checks their results in case order, so its
-output does not depend on the number of CPUs.
+when any suite failed.  Suites are deterministic for a given seed.
+
+The ``kernels``, ``components``, ``degrees`` and ``permutation`` suites
+build their cases -- seeded graphs and the predictions for them -- in the
+calling process, in seed order, and :func:`_map_cases` runs them on forked
+worker processes, one per usable CPU.  Each case returns its own
+:class:`SuiteResult`, and the suite merges them in case order, so check
+counts, ``FAIL`` and ``REPORT`` lines do not depend on the number of CPUs.
+``spectra`` builds its cases the same way but runs them in-process: its
+eigensolves call a multithreaded BLAS, whose threads in each worker would
+contend for the same CPUs.  ``subgraph`` and ``wiener`` take a few tens of
+milliseconds, about what starting a pool costs, and run in-process too.
+Where a check reads only counts off a power -- components, loops, edges,
+degrees -- it reads them from the power's upper pairs
+(:func:`_support_stats`), with no :class:`WeightedGraph` built.
 
 In the ``wiener`` suite, complete-graph powers and squared odd cycles each
 have two printed closed-form readings.  The suite asserts that the
@@ -24,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from typing import Iterable
 
 import numpy as np
 
@@ -42,8 +54,10 @@ from .graphs import (
     star,
 )
 from .power import (
+    SymPowerMatrix,
+    _entry_orbit_sum,
+    _read_matrix,
     edge_injection,
-    entry_orbit_sum,
     loop_injection,
     permutation_matrix,
     relabel,
@@ -106,6 +120,13 @@ class SuiteResult:
                 Failure(self.name, _compact(case), _compact(expected), _compact(got))
             )
         return condition
+
+    def merge(self, parts: Iterable[SuiteResult]) -> None:
+        """Append the checks, failures and report lines of each part, in order."""
+        for part in parts:
+            self.checks += part.checks
+            self.failures += part.failures
+            self.report += part.report
 
 
 def _compact(value) -> str:
@@ -196,7 +217,7 @@ def _naive_permanent(rows):
 
 
 def _workers() -> int:
-    """Worker processes for ``suite_kernels``: one per CPU this process may use.
+    """Worker processes for ``_map_cases``: one per CPU this process may use.
 
     1 -- one usable CPU, or no ``fork`` start method -- means no pool: the
     cases then run in-process, one after another.
@@ -208,23 +229,52 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _kernel_case(case: tuple[str, WeightedGraph, int]) -> list[tuple]:
-    """Compare the orbit and permanent cores of one graph for k = 1..kmax.
+# cases a worker takes at a time.  On 2 vCPUs, components, degrees and
+# permutation took 0.53 s together at 2, 0.47 s at 4 and 0.43 s at 8; the
+# kernels suite took the same time at 4, 8, 16 and 70 (medians of 8-10 runs)
+_CHUNK = 8
 
-    Returns one ``(case, None, None)`` per agreement and one
-    ``(case, expected, got)`` per disagreement, so a worker process sends
-    back only the cores that differ.
+
+def _run_case(case: tuple) -> SuiteResult:
+    return case[0](*case[1:])
+
+
+def _map_cases(cases: list[tuple]) -> list[SuiteResult]:
+    """``function(*arguments)`` of each case ``(function, *arguments)``, in case order.
+
+    The cases run on a pool of ``_workers()`` forked processes, or
+    in-process, one after another, when that is 1.  The functions are
+    module-level, so a worker finds each one by name in the module it
+    inherited at the fork; an exception in a case reaches the caller.
     """
-    tag, graph, kmax = case
-    out = []
+    workers = _workers()
+    if workers == 1:
+        return list(map(_run_case, cases))
+    # imported here: the pool modules would add to every CLI start-up;
+    # forked workers start with the parent's modules already imported
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_case, cases, chunksize=_CHUNK))
+
+
+def _support_stats(power: SymPowerMatrix) -> dict[str, object]:
+    """The edge, loop and component counts and the degrees of the power's
+    graph (``analysis.support_stats_blocks``), read off its upper pairs --
+    the pairs ``to_graph`` makes edges -- with no graph built."""
+    rows, cols, _ = power.upper_edges()
+    return analysis.support_stats_blocks(power.dim, [(rows + 1, cols + 1)])
+
+
+def _kernel_case(tag: str, graph: WeightedGraph, kmax: int) -> SuiteResult:
+    """The orbit and permanent cores of one graph, compared for k = 1..kmax."""
+    res = SuiteResult("kernels")
     for k in range(1, kmax + 1):
         a = sym_power(graph, k, method="orbit")
         b = sym_power(graph, k, method="permanent")
-        expected = (a.denominator, a.core.tolist())
-        got = (b.denominator, b.core.tolist())
-        name = f"{tag}_k{k}"
-        out.append((name, None, None) if expected == got else (name, expected, got))
-    return out
+        res.check(f"{tag}_k{k}", (a.denominator, a.core.tolist()), (b.denominator, b.core.tolist()))
+    return res
 
 
 def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -234,11 +284,6 @@ def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     seeded random rational-weight graphs, for every k up to kmax, comparing
     the integer/rational cores entry for entry.  Also checks Ryser against
     the naive factorial-time permanent.
-
-    The graphs are independent, so they are spread over ``_workers()``
-    forked processes (in-process when that is 1); the results are checked
-    in case order, so check counts and failure lines do not depend on the
-    number of CPUs.
     """
     res = SuiteResult("kernels")
     rng = random.Random(seed)
@@ -254,26 +299,66 @@ def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
         for bits in range(1 << len(pairs)):
             weights = {pairs[i]: 1 for i in range(len(pairs)) if bits >> i & 1}
-            cases.append((f"graph_n{n}_b{bits}", WeightedGraph(n, weights), kmax))
+            cases.append((_kernel_case, f"graph_n{n}_b{bits}", WeightedGraph(n, weights), kmax))
     for g in range(25):
         n = rng.randint(2, nmax)
-        cases.append((f"rational_{g}_n{n}", random_rational_graph(rng, n), kmax))
+        cases.append((_kernel_case, f"rational_{g}_n{n}", random_rational_graph(rng, n), kmax))
+    res.merge(_map_cases(cases))
+    return res
 
-    workers = _workers()
-    if workers == 1:
-        outcomes = list(map(_kernel_case, cases))
-    else:
-        # imported here: the pool modules would add to every CLI start-up;
-        # forked workers start with the parent's modules already imported
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(cases) // (8 * workers))
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = list(pool.map(_kernel_case, cases, chunksize=chunk))
-    for case_outcomes in outcomes:
-        for case, expected, got in case_outcomes:
-            res.check(case, expected, got)
+_SPECTRAL_TOL = 1e-8
+
+
+def _spectrum_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
+    """The power's eigenvalues against the k-fold products of the graph's."""
+    res = SuiteResult("spectra")
+    base = eigenvalues_symmetric(adjacency_matrix(graph), tol=_SPECTRAL_TOL)
+    got = eigenvalues_symmetric(sym_power(graph, k).to_dense(), tol=_SPECTRAL_TOL)
+    want = predicted_power_spectrum(base, k)
+    res.check_true(
+        name,
+        spectra_match(got, want),
+        expected=[round(v, 10) for v in want.values],
+        got=[round(v, 10) for v in got.values],
+    )
+    return res
+
+
+def _trace_det_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
+    """The power's trace against the complete homogeneous polynomial of the
+    graph's eigenvalues, and its determinant against the power law."""
+    res = SuiteResult("spectra")
+    n = graph.n
+    base = eigenvalues_symmetric(adjacency_matrix(graph), tol=_SPECTRAL_TOL)
+    power = sym_power(graph, k)
+    dense = power.to_dense()
+    got_tr = float(np.trace(dense))
+    want_tr = trace_formula(base, k)
+    res.check_true(
+        f"trace_{name}",
+        abs(got_tr - want_tr) <= 1e-8 * max(1.0, abs(got_tr), abs(want_tr)),
+        expected=round(want_tr, 10),
+        got=round(got_tr, 10),
+    )
+    # exact route: det(E) = det(S) / prod(D) must equal det(A)^binom(n+k-1, n)
+    det_exact_a = exact_determinant(graph.weight_rows())
+    det_core = exact_determinant(power.core.tolist())
+    res.check(
+        f"det_exact_{name}",
+        det_exact_a ** math.comb(n + k - 1, n),
+        det_core / (power.denominator**power.dim * math.prod(power.orbit_sizes)),
+    )
+    # float route only where no eigenvalue sits near zero (sign is then stable)
+    if det_exact_a != 0 and min(abs(v) for v in base.values) >= 1e-3:
+        want_det = det_formula(float(det_exact_a), n, k)
+        got_det = sign_log_det(eigenvalues_symmetric(dense, tol=_SPECTRAL_TOL))
+        res.check_true(
+            f"det_{name}",
+            got_det.close_to(want_det, rel_tol=1e-6),
+            expected=(want_det.sign, round(want_det.logabs, 8)),
+            got=(got_det.sign, round(got_det.logabs, 8)),
+        )
     return res
 
 
@@ -281,67 +366,24 @@ def suite_spectra(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     """Power spectra are the product multisets; trace and determinant laws."""
     res = SuiteResult("spectra")
     rng = random.Random(seed)
-    tol = 1e-8
 
-    def spectral_case(tag: str, graph: WeightedGraph, k: int) -> None:
-        a = adjacency_matrix(graph)
-        base = eigenvalues_symmetric(a, tol=tol)
-        power = sym_power(graph, k)
-        got = eigenvalues_symmetric(power.to_dense(), tol=tol)
-        want = predicted_power_spectrum(base, k)
-        res.check_true(
-            f"{tag}_k{k}",
-            spectra_match(got, want),
-            expected=[round(v, 10) for v in want.values],
-            got=[round(v, 10) for v in got.values],
-        )
-
-    for tag, graph in family_graphs(nmax):
-        for k in range(1, kmax + 1):
-            if multiset_count(graph.n, k) > 300:
-                continue
-            spectral_case(tag, graph, k)
-
+    cases = [
+        (_spectrum_case, f"{tag}_k{k}", graph, k)
+        for tag, graph in family_graphs(nmax)
+        for k in range(1, kmax + 1)
+        if multiset_count(graph.n, k) <= 300
+    ]
     for g in range(50):
         n = rng.randint(2, 5)
         k = rng.randint(1, 3)
-        spectral_case(f"random_{g}_n{n}", random_graph01(rng, n), k)
-
-    # trace = complete homogeneous polynomial; determinant power law
+        cases.append((_spectrum_case, f"random_{g}_n{n}_k{k}", random_graph01(rng, n), k))
     for g in range(30):
         n = rng.randint(2, 5)
         k = rng.randint(1, 3)
-        graph = random_rational_graph(rng, n, p=0.7)
-        a = adjacency_matrix(graph)
-        base = eigenvalues_symmetric(a, tol=tol)
-        power = sym_power(graph, k)
-        dense = power.to_dense()
-        got_tr = float(np.trace(dense))
-        want_tr = trace_formula(base, k)
-        res.check_true(
-            f"trace_{g}_n{n}_k{k}",
-            abs(got_tr - want_tr) <= 1e-8 * max(1.0, abs(got_tr), abs(want_tr)),
-            expected=round(want_tr, 10),
-            got=round(got_tr, 10),
-        )
-        # exact route: det(E) = det(S) / prod(D) must equal det(A)^binom(n+k-1, n)
-        det_exact_a = exact_determinant(graph.weight_rows())
-        det_core = exact_determinant(power.core.tolist())
-        res.check(
-            f"det_exact_{g}_n{n}_k{k}",
-            det_exact_a ** math.comb(n + k - 1, n),
-            det_core / (power.denominator**power.dim * math.prod(power.orbit_sizes)),
-        )
-        # float route only where no eigenvalue sits near zero (sign is then stable)
-        if det_exact_a != 0 and min(abs(v) for v in base.values) >= 1e-3:
-            want_det = det_formula(float(det_exact_a), n, k)
-            got_det = sign_log_det(eigenvalues_symmetric(dense, tol=tol))
-            res.check_true(
-                f"det_{g}_n{n}_k{k}",
-                got_det.close_to(want_det, rel_tol=1e-6),
-                expected=(want_det.sign, round(want_det.logabs, 8)),
-                got=(got_det.sign, round(got_det.logabs, 8)),
-            )
+        cases.append((_trace_det_case, f"{g}_n{n}_k{k}", random_rational_graph(rng, n, p=0.7), k))
+    # in-process: on a pool each worker's BLAS runs its own threads on the
+    # same CPUs; on 2 vCPUs the suite took 0.23-0.31 s pooled, 0.11-0.19 s here
+    res.merge(map(_run_case, cases))
 
     # direct-sum oracle for the trace recurrence
     for g in range(10):
@@ -419,53 +461,174 @@ def _component_signature(graph: WeightedGraph, members: tuple[int, ...]):
     return ("other", len(members))
 
 
+def _component_count_case(name: str, graph: WeightedGraph, k: int, want: int) -> SuiteResult:
+    """The power's component count against its prediction."""
+    res = SuiteResult("components")
+    res.check(name, want, _support_stats(sym_power(graph, k))["components"])
+    return res
+
+
+def _ceiling_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
+    """At most 2^(k-1) components in the power."""
+    res = SuiteResult("components")
+    got = _support_stats(sym_power(graph, k))["components"]
+    res.check_true(name, got <= 2 ** (k - 1), f"<={2 ** (k - 1)}", got)
+    return res
+
+
+def _bipartite_case(a: int, b: int, k: int) -> SuiteResult:
+    """The shape of every component of the power of K_{a,b}, and their count."""
+    res = SuiteResult("components")
+    power = sym_power_graph(complete_bipartite(a, b), k)
+    structure = analysis.components(power)
+    want = sorted(
+        desc if desc[0] != "complete_bipartite" else (desc[0], *sorted(desc[1:]))
+        for desc in analysis.bipartite_power_components(a, b, k)
+    )
+    got = sorted(_component_signature(power, comp) for comp in structure.members)
+    res.check(f"bipartite_{a}_{b}_k{k}", want, got)
+    res.check(f"bipartite_{a}_{b}_k{k}_count", (k + 2) // 2, structure.count)
+    return res
+
+
 def suite_components(nmax: int = 8, kmax: int = 5, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Component counts of family powers and the parity dichotomy at k=2."""
     res = SuiteResult("components")
     rng = random.Random(seed)
+    cases = []
 
     for n in range(2, min(nmax, 7) + 1):
         for k in range(1, min(kmax, 5) + 1):
-            got = analysis.components(sym_power_graph(path(n), k)).count
-            res.check(f"path_{n}_k{k}", analysis.path_components(n, k), got)
+            cases.append((_component_count_case, f"path_{n}_k{k}", path(n), k, analysis.path_components(n, k)))
 
     for n in range(3, min(nmax, 8) + 1):
         for k in range(1, min(kmax, 4) + 1):
-            got = analysis.components(sym_power_graph(cycle(n), k)).count
-            res.check(f"cycle_{n}_k{k}", analysis.cycle_components(n, k), got)
+            cases.append((_component_count_case, f"cycle_{n}_k{k}", cycle(n), k, analysis.cycle_components(n, k)))
 
     for a in range(1, 4):
         for b in range(a, 4):
             for k in range(1, min(kmax, 4) + 1):
-                power = sym_power_graph(complete_bipartite(a, b), k)
-                structure = analysis.components(power)
-                want = sorted(
-                    desc if desc[0] != "complete_bipartite" else (desc[0], *sorted(desc[1:]))
-                    for desc in analysis.bipartite_power_components(a, b, k)
-                )
-                got = sorted(_component_signature(power, comp) for comp in structure.members)
-                res.check(f"bipartite_{a}_{b}_k{k}", want, got)
-                res.check(f"bipartite_{a}_{b}_k{k}_count", (k + 2) // 2, structure.count)
+                cases.append((_bipartite_case, a, b, k))
 
     # connected bipartite doubles, connected non-bipartite stays whole
     for g in range(100):
         n = rng.randint(2, 6)
         graph = random_connected_graph01(rng, n, bipartite=g % 2 == 0)
-        want = 2 if analysis.is_bipartite(graph) else 1
-        got = analysis.components(sym_power_graph(graph, 2)).count
-        res.check(f"dichotomy_{g}_n{n}", want, got)
-        if not analysis.is_bipartite(graph) and analysis.count_loops(graph) == 0:
+        bipartite = analysis.is_bipartite(graph)
+        cases.append((_component_count_case, f"dichotomy_{g}_n{n}", graph, 2, 2 if bipartite else 1))
+        if not bipartite and analysis.count_loops(graph) == 0:
             for k in range(2, min(kmax, 4) + 1):
-                got_k = analysis.components(sym_power_graph(graph, k)).count
-                res.check(f"nonbip_connected_{g}_k{k}", 1, got_k)
+                cases.append((_component_count_case, f"nonbip_connected_{g}_k{k}", graph, k, 1))
 
     # the general ceiling: at most 2^(k-1) components
     for tag, graph in family_graphs(min(nmax, 7)):
         for k in range(1, min(kmax, 4) + 1):
             if multiset_count(graph.n, k) > 300:
                 continue
-            got = analysis.components(sym_power_graph(graph, k)).count
-            res.check_true(f"ceiling_{tag}_k{k}", got <= 2 ** (k - 1), f"<={2 ** (k - 1)}", got)
+            cases.append((_ceiling_case, f"ceiling_{tag}_k{k}", graph, k))
+    res.merge(_map_cases(cases))
+    return res
+
+
+def _square_case(g: int, graph: WeightedGraph) -> SuiteResult:
+    """Degrees, loops and edges of the square of a loopless graph against
+    their formulas; the printed lower edge bound is reported, not checked."""
+    res = SuiteResult("degrees")
+    n = graph.n
+    power = sym_power(graph, 2)
+    stats = _support_stats(power)
+    degrees = dict(zip(power.tuples, stats["degrees"]))
+    ok = all(
+        degrees[(a, b)] == analysis.deg2(graph, a, b)
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+    )
+    res.check_true(f"deg2_{g}_n{n}", ok)
+    res.check(f"loops2_{g}_n{n}", analysis.loops2(graph), stats["loops"])
+    res.check(f"edges2_{g}_n{n}", analysis.edges2(graph), stats["edges"])
+    lo, hi = analysis.edge_bounds(graph, 2)
+    e2 = stats["edges"]
+    if analysis.edge_count(graph):
+        # the upper bound is the tensor-power edge count and always holds;
+        # the printed lower bound overestimates (a collapsed edge can absorb
+        # up to (k!)^2 tensor edges, not k!), so violations are reported
+        res.check_true(f"edge_upper_{g}_n{n}", e2 <= hi, f"<={hi}", e2)
+        res.check_true(f"edge_lower_relaxed_{g}_n{n}", e2 * 4 >= hi, f">={hi}/4", e2)
+        if e2 < lo:
+            res.report.append(
+                f"REPORT degrees printed_lower_edge_bound_violated n={n} "
+                f"edges={analysis.edge_count(graph)} bound={lo} actual={e2}"
+            )
+    return res
+
+
+def _loop_count_case(name: str, graph: WeightedGraph, k: int, want: int) -> SuiteResult:
+    """The power's loop count against its prediction."""
+    res = SuiteResult("degrees")
+    res.check(name, want, _support_stats(sym_power(graph, k))["loops"])
+    return res
+
+
+def _two_loops_case() -> SuiteResult:
+    """Two looped vertices and no edge: the loop formula of the square sees
+    them through its nonadjacent-pair term."""
+    res = SuiteResult("degrees")
+    two_loops = WeightedGraph(2, {(1, 1): 1, (2, 2): 1})
+    res.check("nonadjacent_loop_pair", 1, analysis.nonadjacent_loop_pairs(two_loops))
+    res.check("loops2_two_loops", 3, _support_stats(sym_power(two_loops, 2))["loops"])
+    return res
+
+
+def _constant_tuple_case(g: int, graph: WeightedGraph, k: int) -> SuiteResult:
+    """Degrees of the constant tuples, and every degree within the
+    joint-neighborhood bound."""
+    res = SuiteResult("degrees")
+    n = graph.n
+    power = sym_power(graph, k)
+    degrees = _support_stats(power)["degrees"]
+    for v in range(1, n + 1):
+        r = rank(VertexMultiset((v,) * k, n), power.order)
+        res.check(f"diag_degree_{g}_v{v}", analysis.diag_degree(graph, v, k), degrees[r])
+    ok = all(
+        degrees[r] <= analysis.neighbor_bound(graph, VertexMultiset(power.tuples[r], n))
+        for r in range(power.dim)
+    )
+    res.check_true(f"neighbor_bound_{g}", ok)
+    return res
+
+
+def _one_regular_case(half: int, k: int) -> SuiteResult:
+    """A perfect matching's powers are 1-regular."""
+    res = SuiteResult("degrees")
+    matching = WeightedGraph(2 * half, {(2 * i + 1, 2 * i + 2): 1 for i in range(half)})
+    degrees = _support_stats(sym_power(matching, k))["degrees"]
+    res.check(f"one_regular_{half}_k{k}", [1], sorted(set(degrees)))
+    return res
+
+
+def _all_ones_case(n: int) -> SuiteResult:
+    """Powers of the all-ones matrix: complete with loops, with known
+    weights and edge counts."""
+    res = SuiteResult("degrees")
+    edges2 = _support_stats(sym_power(complete_loops(n), 2))["edges"]
+    res.check(f"allones_{n}_edges", math.comb(math.comb(n + 1, 2) + 1, 2), edges2)
+    for k in range(1, 4):
+        pm = sym_power(complete_loops(n), k)
+        big = pm.dim
+        res.check(
+            f"allones_{n}_k{k}_support",
+            big * (big + 1) // 2,
+            sum(1 for i in range(big) for j in range(i, big) if pm.core_entry(i, j)),
+        )
+        ok = all(
+            pm.entry_exact(i, j)
+            == analysis.power_edge_weight_complete_loops(
+                VertexMultiset(pm.tuples[i], n), VertexMultiset(pm.tuples[j], n)
+            )
+            for i in range(big)
+            for j in range(i, big)
+        )
+        res.check_true(f"allones_{n}_k{k}_weights", ok)
     return res
 
 
@@ -473,103 +636,34 @@ def suite_degrees(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     """Degree, loop, and edge-count formulas against plain enumeration."""
     res = SuiteResult("degrees")
     rng = random.Random(seed)
+    cases = []
 
     # squared-power formulas on loopless graphs
     for g in range(100):
         n = rng.randint(2, nmax)
-        graph = random_graph01(rng, n, loops=False)
-        power = sym_power_graph(graph, 2)
-        labels = power.labels or ()
-        index = {lab: v for v, lab in enumerate(labels, start=1)}
-        ok = all(
-            analysis.degree(power, index[f"{a},{b}"]) == analysis.deg2(graph, a, b)
-            for a in range(1, n + 1)
-            for b in range(a, n + 1)
-        )
-        res.check_true(f"deg2_{g}_n{n}", ok)
-        res.check(f"loops2_{g}_n{n}", analysis.loops2(graph), analysis.count_loops(power))
-        res.check(f"edges2_{g}_n{n}", analysis.edges2(graph), analysis.edge_count(power))
-        lo, hi = analysis.edge_bounds(graph, 2)
-        e2 = analysis.edge_count(power)
-        if analysis.edge_count(graph):
-            # the upper bound is the tensor-power edge count and always holds;
-            # the printed lower bound overestimates (a collapsed edge can absorb
-            # up to (k!)^2 tensor edges, not k!), so violations are reported
-            res.check_true(f"edge_upper_{g}_n{n}", e2 <= hi, f"<={hi}", e2)
-            res.check_true(f"edge_lower_relaxed_{g}_n{n}", e2 * 4 >= hi, f">={hi}/4", e2)
-            if e2 < lo:
-                res.report.append(
-                    f"REPORT degrees printed_lower_edge_bound_violated n={n} "
-                    f"edges={analysis.edge_count(graph)} bound={lo} actual={e2}"
-                )
+        cases.append((_square_case, g, random_graph01(rng, n, loops=False)))
 
     # loop-count formula still sees loops through the nonadjacent-pair term
     for g in range(50):
         n = rng.randint(2, nmax)
         graph = random_graph01(rng, n, loops=True)
-        power = sym_power_graph(graph, 2)
-        res.check(f"loops2_looped_{g}_n{n}", analysis.loops2(graph), analysis.count_loops(power))
-
-    two_loops = WeightedGraph(2, {(1, 1): 1, (2, 2): 1})
-    res.check("nonadjacent_loop_pair", 1, analysis.nonadjacent_loop_pairs(two_loops))
-    res.check("loops2_two_loops", 3, analysis.count_loops(sym_power_graph(two_loops, 2)))
+        cases.append((_loop_count_case, f"loops2_looped_{g}_n{n}", graph, 2, analysis.loops2(graph)))
+    cases.append((_two_loops_case,))
 
     # path loop counts across the parity split
     for n in range(2, min(nmax, 7) + 1):
         for k in range(1, min(kmax, 5) + 1):
-            got = analysis.count_loops(sym_power_graph(path(n), k))
-            res.check(f"path_loops_{n}_k{k}", analysis.path_loops(n, k), got)
+            cases.append((_loop_count_case, f"path_loops_{n}_k{k}", path(n), k, analysis.path_loops(n, k)))
 
     # constant-tuple degrees and the joint-neighborhood bound
     for g in range(40):
         n = rng.randint(2, 5)
         k = rng.randint(1, 3)
-        graph = random_graph01(rng, n, loops=False)
-        power = sym_power_graph(graph, k)
-        pm = sym_power(graph, k)
-        for v in range(1, n + 1):
-            r = rank(VertexMultiset((v,) * k, n), pm.order)
-            res.check(
-                f"diag_degree_{g}_v{v}",
-                analysis.diag_degree(graph, v, k),
-                analysis.degree(power, r + 1),
-            )
-        ok = all(
-            analysis.degree(power, r + 1)
-            <= analysis.neighbor_bound(graph, VertexMultiset(pm.tuples[r], n))
-            for r in range(pm.dim)
-        )
-        res.check_true(f"neighbor_bound_{g}", ok)
+        cases.append((_constant_tuple_case, g, random_graph01(rng, n, loops=False), k))
 
-    # 1-regular stays 1-regular
-    for half in (1, 2, 3):
-        matching = WeightedGraph(2 * half, {(2 * i + 1, 2 * i + 2): 1 for i in range(half)})
-        for k in range(1, min(kmax, 4) + 1):
-            power = sym_power_graph(matching, k)
-            degs = sorted({analysis.degree(power, v) for v in range(1, power.n + 1)})
-            res.check(f"one_regular_{half}_k{k}", [1], degs)
-
-    # all-ones powers: complete with loops, known weights, known edge counts
-    for n in range(1, 5):
-        power2 = sym_power_graph(complete_loops(n), 2)
-        res.check(f"allones_{n}_edges", math.comb(math.comb(n + 1, 2) + 1, 2), analysis.edge_count(power2))
-        for k in range(1, 4):
-            pm = sym_power(complete_loops(n), k)
-            big = pm.dim
-            res.check(
-                f"allones_{n}_k{k}_support",
-                big * (big + 1) // 2,
-                sum(1 for i in range(big) for j in range(i, big) if pm.core_entry(i, j)),
-            )
-            ok = all(
-                pm.entry_exact(i, j)
-                == analysis.power_edge_weight_complete_loops(
-                    VertexMultiset(pm.tuples[i], n), VertexMultiset(pm.tuples[j], n)
-                )
-                for i in range(big)
-                for j in range(i, big)
-            )
-            res.check_true(f"allones_{n}_k{k}_weights", ok)
+    cases += [(_one_regular_case, half, k) for half in (1, 2, 3) for k in range(1, min(kmax, 4) + 1)]
+    cases += [(_all_ones_case, n) for n in range(1, 5)]
+    res.merge(_map_cases(cases))
     return res
 
 
@@ -620,6 +714,45 @@ def suite_wiener(nmax: int = 6, kmax: int = 3, seed: int = DEFAULT_SEED) -> Suit
     return res
 
 
+def _permutation_matrix_case(g: int, k: int, sigma: list[int]) -> SuiteResult:
+    """The k-th power of sigma's matrix, entry by entry by the orbit sum, is
+    the matrix of the rank permutation sigma induces, a bijection."""
+    res = SuiteResult("permutation")
+    n = len(sigma)
+    sp = sym_power_permutation(sigma, k)
+    rows, rational = _read_matrix(permutation_matrix(sigma))
+    msets = enumerate_multisets(n, k, "paper")
+    ok = all(
+        _entry_orbit_sum(rows, rational, tx, ty) == (1 if sp.mapping[x] == y else 0)
+        for x, tx in enumerate(msets)
+        for y, ty in enumerate(msets)
+    )
+    res.check_true(f"perm_matrix_{g}_n{n}_k{k}", ok)
+    res.check(f"perm_bijection_{g}", sorted(sp.mapping), list(range(sp.dim)))
+    return res
+
+
+def _equivariance_case(g: int, graph: WeightedGraph, k: int, sigma: list[int]) -> SuiteResult:
+    """Relabeling by sigma before the power equals permuting the power."""
+    res = SuiteResult("permutation")
+    n = graph.n
+    a = sym_power(graph, k)
+    b = sym_power(relabel(graph, sigma), k)
+    sp = sym_power_permutation(sigma, k)
+    ok = all(
+        b.core_entry(sp.apply(x), sp.apply(y)) == a.core_entry(x, y)
+        for x in range(a.dim)
+        for y in range(a.dim)
+    )
+    res.check_true(f"equivariance_{g}_n{n}_k{k}", ok)
+    res.check(
+        f"equivariance_sizes_{g}",
+        [a.orbit_sizes[x] for x in range(a.dim)],
+        [b.orbit_sizes[sp.apply(x)] for x in range(a.dim)],
+    )
+    return res
+
+
 def suite_permutation(nmax: int = 5, kmax: int = 3, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Permutation powers are permutations; powers commute with relabeling."""
     res = SuiteResult("permutation")
@@ -652,41 +785,19 @@ def suite_permutation(nmax: int = 5, kmax: int = 3, seed: int = DEFAULT_SEED) ->
     res.check("identity", tuple(range(ident.dim)), ident.mapping)
 
     # sym power of the permutation matrix IS the induced rank permutation
+    cases = []
     for g in range(20):
         n = rng.randint(2, nmax)
         k = rng.randint(1, kmax)
-        sigma = random_permutation(rng, n)
-        sp = sym_power_permutation(sigma, k)
-        rows = permutation_matrix(sigma)
-        msets = enumerate_multisets(n, k, "paper")
-        ok = all(
-            entry_orbit_sum(rows, tx, ty) == (1 if sp.mapping[x] == y else 0)
-            for x, tx in enumerate(msets)
-            for y, ty in enumerate(msets)
-        )
-        res.check_true(f"perm_matrix_{g}_n{n}_k{k}", ok)
-        res.check(f"perm_bijection_{g}", sorted(sp.mapping), list(range(sp.dim)))
+        cases.append((_permutation_matrix_case, g, k, random_permutation(rng, n)))
 
     # equivariance: relabeling before or after the power is the same thing
     for g in range(50):
         n = rng.randint(2, nmax)
         k = rng.randint(1, kmax)
         graph = random_rational_graph(rng, n, p=0.6)
-        sigma = random_permutation(rng, n)
-        a = sym_power(graph, k)
-        b = sym_power(relabel(graph, sigma), k)
-        sp = sym_power_permutation(sigma, k)
-        ok = all(
-            b.core_entry(sp.apply(x), sp.apply(y)) == a.core_entry(x, y)
-            for x in range(a.dim)
-            for y in range(a.dim)
-        )
-        res.check_true(f"equivariance_{g}_n{n}_k{k}", ok)
-        res.check(
-            f"equivariance_sizes_{g}",
-            [a.orbit_sizes[x] for x in range(a.dim)],
-            [b.orbit_sizes[sp.apply(x)] for x in range(a.dim)],
-        )
+        cases.append((_equivariance_case, g, graph, k, random_permutation(rng, n)))
+    res.merge(_map_cases(cases))
     return res
 
 

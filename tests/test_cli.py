@@ -418,6 +418,7 @@ def _block_sizes(monkeypatch, size):
 
     if size is not None:
         monkeypatch.setattr(symgraph.fileio, "_BLOCK_CHARS", size)
+        monkeypatch.setattr(symgraph.fileio, "_STATS_BLOCK_CHARS", size)
         monkeypatch.setattr(symgraph.fileio, "_WRITE_LINES", size)
         monkeypatch.setattr(symgraph.power, "_SUPPORT_BLOCK", size)
 
@@ -576,6 +577,20 @@ def test_dense_power_and_stats_run_in_bounded_memory(tmp_path):
     stats_mb = _peak_mb([shim, "stats", str(power)])
     assert power.stat().st_size > 18_000_000
     assert power_mb <= bare + 30 and stats_mb <= bare + 30, (bare, power_mb, stats_mb)
+
+
+def test_plain_stats_of_a_dense_power_peaks_near_a_bare_import(tmp_path):
+    # plain stats counts the complete_loops 9 k=5 power file (828,828 pairs,
+    # 18.4 MB) one parser block at a time; with blocks of 2^17 characters the
+    # process peaks within 8 MB of a bare import of the CLI (11 MB above it
+    # with 2^18)
+    source, power = tmp_path / "family.txt", tmp_path / "power.txt"
+    assert main(["family", "complete_loops", "9", "-o", str(source)]) == 0
+    assert main(["power", "-k", "5", "-o", str(power), str(source)]) == 0
+    shim = "import sys; from symgraph.cli import main; sys.exit(main())"
+    bare = _peak_mb(["import symgraph.cli"])
+    stats_mb = _peak_mb([shim, "stats", str(power)])
+    assert stats_mb <= bare + 8, (bare, stats_mb)
 
 
 def test_commands_reading_a_dense_power_run_in_bounded_memory(tmp_path):

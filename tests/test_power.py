@@ -151,6 +151,33 @@ def test_entry_oracles_take_non_symmetric_matrices():
         entry_orbit_sum([[0, 1]], VertexMultiset((1,), 1), VertexMultiset((1,), 1))
 
 
+def test_entry_oracle_bodies_on_a_matrix_read_once_equal_the_public_oracles():
+    # the bodies take the rows and rationality _read_matrix returns, so a
+    # caller evaluating many entries of one matrix converts it once
+    from symgraph.power import _entry_orbit_sum, _entry_permanent, _read_matrix
+
+    rng = random.Random(2024)
+    matrices = []
+    for n in range(1, 5):
+        matrices.append([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        matrices.append(np.array([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)]))
+        sigma = list(range(1, n + 1))
+        rng.shuffle(sigma)
+        matrices.append(permutation_matrix(sigma))
+    for matrix in matrices:
+        rows, rational = _read_matrix(matrix)
+        n = len(rows)
+        assert rational == (not isinstance(matrix, np.ndarray))
+        for k in range(1, 4):
+            msets = enumerate_multisets(n, k)
+            for i in msets:
+                for j in msets:
+                    want, got = entry_orbit_sum(matrix, i, j), _entry_orbit_sum(rows, rational, i, j)
+                    assert type(got) is type(want) and got == want
+                    want, got = entry_permanent(matrix, i, j), _entry_permanent(rows, rational, i, j)
+                    assert type(got) is type(want) and got == want
+
+
 def test_ordered_table_orbits_follow_enumerate_orbit():
     # the float orbit core sums each orbit in this order, so its bits depend on it
     from symgraph.combinatorics import enumerate_orbit

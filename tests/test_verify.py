@@ -144,6 +144,83 @@ def test_an_error_in_a_kernel_case_reaches_the_caller_on_both_paths(monkeypatch)
             suite_kernels(nmax=3, kmax=3)
 
 
+# the other pooled suites at small budgets, each with failures planted below
+POOLED = {
+    "components": dict(nmax=4, kmax=3),
+    "degrees": dict(nmax=4, kmax=3),
+    "permutation": dict(nmax=3, kmax=2),
+}
+
+
+def _outcomes_on_both_paths(monkeypatch, name):
+    """(checks, FAIL lines, REPORT lines) of one suite run in-process and on a pool of two."""
+    outcomes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(verify, "_workers", lambda: workers)
+        res = getattr(verify, f"suite_{name}")(**POOLED[name])
+        outcomes.append((res.checks, [f.line() for f in res.failures], res.report))
+    return outcomes
+
+
+@pytest.mark.parametrize("name", POOLED)
+def test_each_pooled_suite_is_the_same_in_process_and_on_a_pool(monkeypatch, name):
+    inline, pooled = _outcomes_on_both_paths(monkeypatch, name)
+    assert inline == pooled and not inline[1]
+
+    # plant an off-by-one: every power of a 3-vertex graph at k = 2 gains an
+    # edge between its first and last tuple; forked workers inherit the patch
+    real = verify.sym_power
+
+    def off_by_one(graph, k, method="permanent", **kwargs):
+        power = real(graph, k, method=method, **kwargs)
+        if graph.n == 3 and k == 2:
+            core = power.core.copy()
+            core[0, -1] += 1
+            core[-1, 0] += 1
+            power = dataclasses.replace(power, core=core)
+        return power
+
+    monkeypatch.setattr(verify, "sym_power", off_by_one)
+    planted_inline, planted_pooled = _outcomes_on_both_paths(monkeypatch, name)
+    assert planted_inline == planted_pooled
+    assert planted_inline[0] == inline[0] and planted_inline[1]
+
+
+@pytest.mark.parametrize("name", POOLED)
+def test_an_error_in_a_pooled_case_reaches_the_caller_on_both_paths(monkeypatch, name):
+    real = verify.sym_power
+
+    def fail_at_k2(graph, k, **kwargs):
+        if k == 2:
+            raise PlantedError(f"planted at n={graph.n} k={k}")
+        return real(graph, k, **kwargs)
+
+    monkeypatch.setattr(verify, "sym_power", fail_at_k2)
+    for workers in (1, 2):
+        monkeypatch.setattr(verify, "_workers", lambda: workers)
+        with pytest.raises(PlantedError, match="planted at n="):
+            getattr(verify, f"suite_{name}")(**POOLED[name])
+
+
+def test_support_stats_read_the_counts_of_the_power_graph():
+    from symgraph import analysis
+    from symgraph.power import sym_power, sym_power_graph
+
+    rng = random.Random(11)
+    graphs = [graph for _, graph in family_graphs(5)]
+    graphs += [random_rational_graph(rng, rng.randint(1, 5)) for _ in range(20)]
+    graphs += [WeightedGraph(3, {(1, 2): 0.5, (2, 2): -1.25}), WeightedGraph(4, {})]
+    for graph in graphs:
+        for k in range(1, 4):
+            stats = verify._support_stats(sym_power(graph, k))
+            power = sym_power_graph(graph, k)
+            assert stats["n"] == power.n
+            assert stats["components"] == analysis.components(power).count
+            assert stats["loops"] == analysis.count_loops(power)
+            assert stats["edges"] == analysis.edge_count(power)
+            assert stats["degrees"] == [analysis.degree(power, v) for v in range(1, power.n + 1)]
+
+
 def test_workers_is_one_per_usable_cpu_and_one_without_fork(monkeypatch):
     import multiprocessing
 
