@@ -67,7 +67,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    spectrum = eigenvalues_edges(*_load_edges(args.input), tol=args.tol)
+    spectrum = eigenvalues_edges(*_load_edges(args.input))
     sys.stdout.write("".join(f"{v!r}\n" for v in spectrum.values))
     return 0
 
@@ -176,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (FileNotFoundError, GraphFormatError, CountLimitError, JacobiConvergenceError, ValueError) as exc:
+    # a MemoryError comes from the input too, such as a vertex count of 10^17
+    except (FileNotFoundError, GraphFormatError, CountLimitError, JacobiConvergenceError, MemoryError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

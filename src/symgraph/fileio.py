@@ -513,8 +513,10 @@ def edge_text_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = 
                 bits, w = np.unique(weights[lo:hi].view(np.int64), return_inverse=True)
                 texts = [f"{x!r}\n".encode() for x in bits.view(np.float64).tolist()]
             else:
+                # as Python values: format_weight would write a numpy int64 as a float
+                chunk = weights[lo:hi].tolist() if isinstance(weights, np.ndarray) else weights[lo:hi]
                 index: dict[str, int] = {}
-                w = np.fromiter((index.setdefault(t, len(index)) for t in map(format_weight, weights[lo:hi])),
+                w = np.fromiter((index.setdefault(t, len(index)) for t in map(format_weight, chunk)),
                                 dtype=np.intp, count=len(u[lo:hi]))
                 texts = [f"{t}\n".encode() for t in index]
             text, text_at, text_size = _text_table(texts)

@@ -547,24 +547,21 @@ def _exact_weight(s: int, d: int, denominator: int) -> ExactWeight:
 
 
 def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int, ...], denominator: int,
-                 weights: str | None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | list | None]]:
+                 exact: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | list]]:
     """0-based (rows, cols, weights) of the nonzero entries with row <= col of
     a core given as pieces (lo, first, block): rows lo:lo+len(block), columns
     from ``first`` on, in row order.  A piece is read before the next one is
     asked for, and consecutive pieces are joined while they scan at most
     ``_SUPPORT_BLOCK`` entries together, so every block is one writer block.
 
-    ``weights`` None gives no weights.  ``"float"`` gives float64 weights
-    S_ij / sqrt(D_i * D_j), bit-equal to ``SymPowerMatrix.to_dense()``, and
-    leaves out pairs whose weight underflows to 0.0.  ``"exact"`` gives one
-    :class:`ExactWeight` per pair.
+    The weights are float64 S_ij / sqrt(D_i * D_j), bit-equal to
+    ``SymPowerMatrix.to_dense()``, with the pairs whose weight underflows to
+    0.0 left out; with ``exact`` they are one :class:`ExactWeight` per pair.
     """
     d = np.array(sizes, dtype=np.float64)
 
     def weighted(rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
-        if weights is None:
-            return rows, cols, None
-        if weights == "exact":
+        if exact:
             radicands = map(int.__mul__, map(sizes.__getitem__, rows.tolist()), map(sizes.__getitem__, cols.tolist()))
             return rows, cols, list(map(_exact_weight, values.tolist(), radicands, repeat(denominator)))
         w = _float_values(values, denominator)
@@ -643,27 +640,26 @@ class SymPowerMatrix:
         for lo in range(0, self.dim, step):
             yield lo, lo, self.core[lo : lo + step, lo:]
 
-    def upper_blocks(self, edges: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    def upper_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """0-based (rows, cols, weights) of the nonzero core entries with row <=
         col in (row, col) order, a block per about ``_SUPPORT_BLOCK`` entries
         scanned from the diagonal on, so no temporary grows with the N x N
-        core.  Without ``edges`` the weights are None; with ``edges`` they are
-        float64, bit-equal to ``to_dense()[rows, cols]``, and pairs whose
-        weight underflows to 0.0 (no edge in ``to_dense``) are left out.
-        An entry past the float64 range, or a float core's inf or nan,
-        raises ValueError here, before the first block."""
-        if edges and self.path != "int64":
+        core.  The weights are float64, bit-equal to ``to_dense()[rows, cols]``,
+        and pairs whose weight underflows to 0.0 (no edge in ``to_dense``) are
+        left out.  An entry past the float64 range, or a float core's inf or
+        nan, raises ValueError here, before the first block."""
+        if self.path != "int64":
             _check_float_range(self.core, self.denominator)
-        return _edge_blocks(self._pieces(), self.orbit_sizes, self.denominator, "float" if edges else None)
+        return _edge_blocks(self._pieces(), self.orbit_sizes, self.denominator, exact=False)
 
     def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero pairs of the float matrix with row <= col and their
-        weights: the blocks of ``upper_blocks(edges=True)`` joined.
+        weights: the blocks of ``upper_blocks()`` joined.
 
         Rows and cols are 0-based and sorted by (row, col), the order of
         ``WeightedGraph.edges()``, without building the N x N float matrix.
         """
-        return tuple(map(np.concatenate, zip(*self.upper_blocks(edges=True))))
+        return tuple(map(np.concatenate, zip(*self.upper_blocks())))
 
     def vertex_labels(self) -> tuple[str, ...]:
         return tuple(",".join(map(str, t)) for t in self.tuples)
@@ -763,7 +759,7 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
                            order: str = "paper", exact: bool = False) -> tuple[int, Iterator]:
     """The dimension N of the power of ``sym_power_edges`` and the blocks of
     its nonzero pairs with row <= col: float64 weights as
-    ``SymPowerMatrix.upper_blocks(edges=True)`` gives them, or with
+    ``SymPowerMatrix.upper_blocks()`` gives them, or with
     ``exact`` one :class:`ExactWeight` per pair, as ``entry_exact`` gives it.
 
     ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, so
@@ -787,7 +783,7 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
         if not bound < _FLOAT_SAFE * s.denominator:
             for _, _, block in pieces():
                 _check_float_range(block, s.denominator)
-    return len(s.sizes), _edge_blocks(pieces(), s.sizes, s.denominator, "exact" if exact else "float")
+    return len(s.sizes), _edge_blocks(pieces(), s.sizes, s.denominator, exact)
 
 
 def sym_power_graph(graph: WeightedGraph, k: int, method: str = "permanent", order: str = "paper") -> WeightedGraph:

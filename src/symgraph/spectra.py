@@ -90,12 +90,12 @@ def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     return _halved_eigenvalues(a, np.empty(a.shape), tol)
 
 
-def eigenvalues_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+def eigenvalues_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Spectrum:
     """:func:`eigenvalues_symmetric` of the n-vertex graph with weight w at
     each 1-based pair (u, v), refused past the budget before the matrix is built."""
     _check_dimension(n)
     a = dense_matrix(n, u, v, w, np.float64)
-    return _halved_eigenvalues(a, a, tol)  # nothing else holds a, so its halves overwrite it
+    return _halved_eigenvalues(a, a, DEFAULT_TOL)  # nothing else holds a, so its halves overwrite it
 
 
 def _halved_eigenvalues(a: np.ndarray, out: np.ndarray, tol: float) -> Spectrum:

@@ -105,13 +105,7 @@ class SuiteResult:
 
     def check(self, case: str, expected, got) -> bool:
         """Record one comparison; equality must be exact."""
-        self.checks += 1
-        if expected != got:
-            self.failures.append(
-                Failure(self.name, _compact(case), _compact(expected), _compact(got))
-            )
-            return False
-        return True
+        return self.check_true(case, expected == got, expected, got)
 
     def check_true(self, case: str, condition: bool, expected="true", got="false") -> bool:
         self.checks += 1
@@ -157,9 +151,11 @@ def random_rational_graph(rng: random.Random, n: int, p: float = 0.6) -> Weighte
     return WeightedGraph(n, weights)
 
 
-def random_connected_graph01(
-    rng: random.Random, n: int, extra: float = 0.3, bipartite: bool = False
-) -> WeightedGraph:
+# the probability that a pair outside the tree is an edge too
+_EXTRA_EDGE = 0.3
+
+
+def random_connected_graph01(rng: random.Random, n: int, bipartite: bool = False) -> WeightedGraph:
     """Random attachment tree plus extra edges; 2-coloring preserved on request."""
     parent = {v: rng.randint(1, v - 1) for v in range(2, n + 1)}
     color = {1: 0}
@@ -170,7 +166,7 @@ def random_connected_graph01(
         for v in range(u + 1, n + 1):
             if bipartite and color[u] == color[v]:
                 continue
-            if rng.random() < extra:
+            if rng.random() < _EXTRA_EDGE:
                 weights[(u, v)] = 1
     return WeightedGraph(n, weights)
 
@@ -307,14 +303,11 @@ def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     return res
 
 
-_SPECTRAL_TOL = 1e-8
-
-
 def _spectrum_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
     """The power's eigenvalues against the k-fold products of the graph's."""
     res = SuiteResult("spectra")
-    base = eigenvalues_symmetric(adjacency_matrix(graph), tol=_SPECTRAL_TOL)
-    got = eigenvalues_symmetric(sym_power(graph, k).to_dense(), tol=_SPECTRAL_TOL)
+    base = eigenvalues_symmetric(adjacency_matrix(graph))
+    got = eigenvalues_symmetric(sym_power(graph, k).to_dense())
     want = predicted_power_spectrum(base, k)
     res.check_true(
         name,
@@ -330,7 +323,7 @@ def _trace_det_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
     graph's eigenvalues, and its determinant against the power law."""
     res = SuiteResult("spectra")
     n = graph.n
-    base = eigenvalues_symmetric(adjacency_matrix(graph), tol=_SPECTRAL_TOL)
+    base = eigenvalues_symmetric(adjacency_matrix(graph))
     power = sym_power(graph, k)
     dense = power.to_dense()
     got_tr = float(np.trace(dense))
@@ -352,7 +345,7 @@ def _trace_det_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
     # float route only where no eigenvalue sits near zero (sign is then stable)
     if det_exact_a != 0 and min(abs(v) for v in base.values) >= 1e-3:
         want_det = det_formula(float(det_exact_a), n, k)
-        got_det = sign_log_det(eigenvalues_symmetric(dense, tol=_SPECTRAL_TOL))
+        got_det = sign_log_det(eigenvalues_symmetric(dense))
         res.check_true(
             f"det_{name}",
             got_det.close_to(want_det, rel_tol=1e-6),
@@ -461,10 +454,11 @@ def _component_signature(graph: WeightedGraph, members: tuple[int, ...]):
     return ("other", len(members))
 
 
-def _component_count_case(name: str, graph: WeightedGraph, k: int, want: int) -> SuiteResult:
-    """The power's component count against its prediction."""
-    res = SuiteResult("components")
-    res.check(name, want, _support_stats(sym_power(graph, k))["components"])
+def _count_case(suite: str, key: str, name: str, graph: WeightedGraph, k: int, want: int) -> SuiteResult:
+    """One count of the power, its ``_support_stats`` entry ``key``, against
+    its prediction."""
+    res = SuiteResult(suite)
+    res.check(name, want, _support_stats(sym_power(graph, k))[key])
     return res
 
 
@@ -496,14 +490,15 @@ def suite_components(nmax: int = 8, kmax: int = 5, seed: int = DEFAULT_SEED) -> 
     res = SuiteResult("components")
     rng = random.Random(seed)
     cases = []
+    component_count = (_count_case, "components", "components")
 
     for n in range(2, min(nmax, 7) + 1):
         for k in range(1, min(kmax, 5) + 1):
-            cases.append((_component_count_case, f"path_{n}_k{k}", path(n), k, analysis.path_components(n, k)))
+            cases.append((*component_count, f"path_{n}_k{k}", path(n), k, analysis.path_components(n, k)))
 
     for n in range(3, min(nmax, 8) + 1):
         for k in range(1, min(kmax, 4) + 1):
-            cases.append((_component_count_case, f"cycle_{n}_k{k}", cycle(n), k, analysis.cycle_components(n, k)))
+            cases.append((*component_count, f"cycle_{n}_k{k}", cycle(n), k, analysis.cycle_components(n, k)))
 
     for a in range(1, 4):
         for b in range(a, 4):
@@ -515,10 +510,10 @@ def suite_components(nmax: int = 8, kmax: int = 5, seed: int = DEFAULT_SEED) -> 
         n = rng.randint(2, 6)
         graph = random_connected_graph01(rng, n, bipartite=g % 2 == 0)
         bipartite = analysis.is_bipartite(graph)
-        cases.append((_component_count_case, f"dichotomy_{g}_n{n}", graph, 2, 2 if bipartite else 1))
+        cases.append((*component_count, f"dichotomy_{g}_n{n}", graph, 2, 2 if bipartite else 1))
         if not bipartite and analysis.count_loops(graph) == 0:
             for k in range(2, min(kmax, 4) + 1):
-                cases.append((_component_count_case, f"nonbip_connected_{g}_k{k}", graph, k, 1))
+                cases.append((*component_count, f"nonbip_connected_{g}_k{k}", graph, k, 1))
 
     # the general ceiling: at most 2^(k-1) components
     for tag, graph in family_graphs(min(nmax, 7)):
@@ -559,13 +554,6 @@ def _square_case(g: int, graph: WeightedGraph) -> SuiteResult:
                 f"REPORT degrees printed_lower_edge_bound_violated n={n} "
                 f"edges={analysis.edge_count(graph)} bound={lo} actual={e2}"
             )
-    return res
-
-
-def _loop_count_case(name: str, graph: WeightedGraph, k: int, want: int) -> SuiteResult:
-    """The power's loop count against its prediction."""
-    res = SuiteResult("degrees")
-    res.check(name, want, _support_stats(sym_power(graph, k))["loops"])
     return res
 
 
@@ -615,11 +603,7 @@ def _all_ones_case(n: int) -> SuiteResult:
     for k in range(1, 4):
         pm = sym_power(complete_loops(n), k)
         big = pm.dim
-        res.check(
-            f"allones_{n}_k{k}_support",
-            big * (big + 1) // 2,
-            sum(1 for i in range(big) for j in range(i, big) if pm.core_entry(i, j)),
-        )
+        res.check(f"allones_{n}_k{k}_support", big * (big + 1) // 2, _support_stats(pm)["edges"])
         ok = all(
             pm.entry_exact(i, j)
             == analysis.power_edge_weight_complete_loops(
@@ -637,6 +621,7 @@ def suite_degrees(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     res = SuiteResult("degrees")
     rng = random.Random(seed)
     cases = []
+    loop_count = (_count_case, "degrees", "loops")
 
     # squared-power formulas on loopless graphs
     for g in range(100):
@@ -647,13 +632,13 @@ def suite_degrees(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     for g in range(50):
         n = rng.randint(2, nmax)
         graph = random_graph01(rng, n, loops=True)
-        cases.append((_loop_count_case, f"loops2_looped_{g}_n{n}", graph, 2, analysis.loops2(graph)))
+        cases.append((*loop_count, f"loops2_looped_{g}_n{n}", graph, 2, analysis.loops2(graph)))
     cases.append((_two_loops_case,))
 
     # path loop counts across the parity split
     for n in range(2, min(nmax, 7) + 1):
         for k in range(1, min(kmax, 5) + 1):
-            cases.append((_loop_count_case, f"path_loops_{n}_k{k}", path(n), k, analysis.path_loops(n, k)))
+            cases.append((*loop_count, f"path_loops_{n}_k{k}", path(n), k, analysis.path_loops(n, k)))
 
     # constant-tuple degrees and the joint-neighborhood bound
     for g in range(40):
@@ -807,11 +792,10 @@ def run_suites(
     kmax: int | None = None,
     seed: int | None = None,
 ) -> list[SuiteResult]:
-    """Run the named suites (or all) with optional budget overrides."""
+    """Run the named suites, or all of them for ``"all"``, with optional
+    budget overrides."""
     if names == "all":
         names = list(SUITES)
-    elif isinstance(names, str):
-        names = [names]
     results = []
     for name in names:
         if name not in SUITES:

@@ -386,6 +386,15 @@ def test_spectrum_past_the_size_budget_exits_2_before_building_the_matrix(capsys
     assert peak < 50 * 2**20, peak  # the dense matrix would take 8 n^2 bytes
 
 
+@pytest.mark.parametrize("argv", [["stats"], ["stats", "--wiener"]], ids=" ".join)
+def test_a_vertex_count_past_memory_exits_2_with_one_error_line(capsys, monkeypatch, argv):
+    # n = 10^17 asks for 800 PB, more than any address space: numpy raises
+    # MemoryError at once, and the exit code 1 is kept for failed checks
+    code, out, err = run_cli(capsys, argv, stdin="100000000000000000\n1 2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv", [["spectrum"], ["stats", "--spectrum"]], ids=" ".join)
 def test_an_int_weight_past_the_float_range_exits_2_with_one_error_line(capsys, monkeypatch, argv):
     # the int is exact in the file, but the eigensolver's matrix is float64

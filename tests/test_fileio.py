@@ -292,6 +292,22 @@ def test_parse_keeps_values_when_every_token_hash_collides(monkeypatch):
                               (1, 1, 7), (1, 3, 0.25), (2, 2, -3)])
 
 
+def test_parse_converts_each_distinct_token_once(monkeypatch):
+    # the labels are summed as digits, never converted; the 820 weights,
+    # of two texts, take one conversion per text
+    from symgraph import fileio
+
+    pairs = [(u, v) for u in range(1, 41) for v in range(u, 41)]
+    text = "40\n" + "".join(f"{u} {v} {('0.5', '0.25')[(u + v) % 2]}\n" for u, v in pairs)
+    assert len(pairs) == 820 and len(text) < fileio._BLOCK_CHARS
+    calls = []
+    read = fileio._read
+    monkeypatch.setattr(fileio, "_read", lambda token: calls.append(token) or read(token))
+    n, u, v, w = parse_edges(text)
+    assert sorted(calls) == ["0.25", "0.5"]
+    assert (n, len(w), set(w.tolist())) == (40, 820, {0.5, 0.25})
+
+
 @pytest.mark.parametrize("size", [1, 7, None])
 def test_power_file_round_trips_in_any_block_size(monkeypatch, size):
     from symgraph import fileio
@@ -474,6 +490,16 @@ def test_write_edges_formats_float_arrays_like_format_weight(weights):
     ones = np.ones(len(weights), dtype=np.int64)
     want = "1\n" + "".join(f"1 1 {format_weight(w)}\n" for w in weights)
     assert write_edges(1, ones, ones, np.array(weights, dtype=np.float64)) == want
+
+
+@pytest.mark.parametrize("text", [
+    "3\n1 2 5\n2 3 1\n",  # int64
+    f"3\n1 2 {2**70}\n2 3 -1\n",  # past int64
+    "3\n1 2 5\n2 3 0.5\n",  # ints and floats
+    "3\n1 1 0.5\n2 3 1e+300\n",  # floats
+])
+def test_write_edges_reproduces_the_tokens_of_parsed_arrays(text):
+    assert write_edges(*parse_edges(text)) == text
 
 
 def test_write_graph_deterministic():
