@@ -62,7 +62,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_power(args: argparse.Namespace) -> int:
     dim, blocks = sym_power_upper_blocks(*_load_edges(args.input), args.k, method=args.method, order=args.order,
                                          exact=args.exact)
-    _write_output(edge_text_blocks(dim, ((rows + 1, cols + 1, w) for rows, cols, w in blocks)), args.output)
+    _write_output(edge_text_blocks(dim, blocks, range(1, dim + 1)), args.output)  # 0-based rows and cols
     return 0
 
 

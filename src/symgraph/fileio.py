@@ -13,16 +13,16 @@ float; the types decide whether a power runs exact or in float64.
 Edge lists travel as arrays, a bounded block at a time in both directions,
 with no Python object per line or token.  The reader views each block of
 text as one code per character, finds tokens and lines from masks, and
-converts each distinct token once.  The writer gathers each block's bytes
-from a table that holds every vertex label and weight text once.
+converts each distinct token once.  One writer, for graph files and DOT,
+gathers each block's bytes from a table of label and distinct weight texts.
 :func:`parse_edges` (or :func:`read_edges`, from a handle) and
 :func:`write_edges` join the blocks into whole arrays (n, u, v, w) and text;
 ``symgraph power`` and ``dot`` stream their output, plain ``stats`` its input.
 
 Weights are written as the shortest decimal that round-trips the float, so
-parse(write(g)) reproduces g up to that formatting.  An optional exact mode
-renders power-of-0/1-graph weights as ``q*sqrt(r)`` tokens; those files are
-for reading, not for feeding back in.
+parse(write(g)) reproduces g up to that formatting.  ``power --exact``
+writes the power of any rational input as ``q*sqrt(r)`` tokens, for
+reading, not for feeding back in.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from . import analysis
 from .exact import ExactWeight
 from .graphs import WeightedGraph, edge_arrays
+from .power import MAX_DIM_ENV, SizeBudgetError, _max_dim
 from .spectra import eigenvalues_edges
 
 
@@ -491,55 +492,53 @@ def _text_table(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.frombuffer(b"".join(texts), dtype=np.uint8), np.cumsum(lengths, dtype=np.int32) - lengths, lengths
 
 
-def edge_text_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = None) -> Iterator[str]:
-    """The graph file of n vertices with the pairs of ``blocks``, a block of
-    text at a time.
-
-    A block is (u, v, weights): 1-based ends, which index ``labels`` (by
-    default ``range(n + 1)``), and a float64 ndarray or a sequence of weights
-    for :func:`format_weight`.  Each ``_WRITE_LINES`` lines are gathered with
-    one ``np.repeat`` index from a byte table: the labels ``"u "``, made once,
-    then the block's distinct weight texts ``"w\\n"``, written over the
-    previous block's.  A float's ``repr`` is made once per distinct bit
-    pattern in the block.
-    """
-    yield f"{n}\n"
-    labels, label_at, label_size = _text_table([f"{x} ".encode() for x in (range(n + 1) if labels is None else labels)])
+def _pair_lines(blocks: Iterable[tuple], names: Sequence, first: str, second: str, weight: str) -> Iterator[str]:
+    """The lines ``first.format(u) + second.format(v) + weight.format(format_weight(w))`` of
+    ``blocks``, ``_WRITE_LINES`` at a time.  A block is (u, v, weights): ends indexing ``names``, and
+    an ndarray, reduced to its distinct values a chunk at a time, or their (index, values).  Each chunk
+    is gathered by one ``np.repeat`` index from a byte table of label texts and weight texts."""
+    labels, label_at, label_size = _text_table([f.format(x).encode() for f in (first, second) for x in names])
     table = labels
     for u, v, weights in blocks:
         for lo in range(0, len(u), _WRITE_LINES):
             hi = lo + _WRITE_LINES
-            if isinstance(weights, np.ndarray) and weights.dtype == np.float64:
+            if isinstance(weights, tuple):
+                w, values = weights[0][lo:hi], weights[1] if lo == 0 else None
+            elif weights.dtype in (np.int64, np.float64):  # by bit pattern
                 bits, w = np.unique(weights[lo:hi].view(np.int64), return_inverse=True)
-                texts = [f"{x!r}\n".encode() for x in bits.view(np.float64).tolist()]
-            else:
-                # as Python values: format_weight would write a numpy int64 as a float
-                chunk = weights[lo:hi].tolist() if isinstance(weights, np.ndarray) else weights[lo:hi]
-                index: dict[str, int] = {}
-                w = np.fromiter((index.setdefault(t, len(index)) for t in map(format_weight, chunk)),
-                                dtype=np.intp, count=len(u[lo:hi]))
-                texts = [f"{t}\n".encode() for t in index]
-            text, text_at, text_size = _text_table(texts)
-            if len(table) < len(labels) + len(text):  # room for twice these texts
-                table = np.concatenate((labels, np.empty(2 * len(text), dtype=np.uint8)))
-            table[len(labels) : len(labels) + len(text)] = text
-            a, b = u[lo:hi], v[lo:hi]
+                values = bits.view(weights.dtype).tolist()
+            else:  # by (type, value) as Python values: 1 and 1.0 keep their own texts, 0.0 and -0.0 share one
+                chunk = weights[lo:hi].tolist()
+                keys = list(zip(map(type, chunk), chunk))
+                ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+                w, values = np.fromiter(map(ids.__getitem__, keys), dtype=np.intp, count=len(keys)), [x for _, x in ids]
+            if values is not None:
+                text, text_at, text_size = _text_table([weight.format(format_weight(x)).encode() for x in values])
+                if len(table) < len(labels) + len(text):  # room for twice these texts
+                    table = np.concatenate((labels, np.empty(2 * len(text), dtype=np.uint8)))
+                table[len(labels) : len(labels) + len(text)] = text
+            a, b = u[lo:hi], v[lo:hi] + len(names)  # the second label texts follow the first ones
             offset = np.stack((label_at[a], label_at[b], text_at[w] + len(labels)), axis=1).ravel()
             size = np.stack((label_size[a], label_size[b], text_size[w]), axis=1).ravel()
-            at = np.cumsum(size, dtype=np.int32) - size  # each entry's place in the block's bytes
+            at = np.cumsum(size, dtype=np.int32) - size  # each entry's place in the chunk's bytes
             gather = np.repeat(offset - at, size) + np.arange(at[-1] + size[-1], dtype=np.int32)
             yield table[gather].tobytes().decode()
+
+
+def edge_text_blocks(n: int, blocks: Iterable[tuple], labels: Sequence) -> Iterator[str]:
+    """The graph file of n vertices with the pairs of ``blocks`` (see :func:`_pair_lines`), named by ``labels``."""
+    yield f"{n}\n"
+    yield from _pair_lines(blocks, labels, "{} ", "{} ", "{}\n")
 
 
 def write_edges(n: int, u, v, weights) -> str:
     """Render parallel 1-based endpoint arrays and their weights as a graph
     file: the blocks of :func:`edge_text_blocks` joined."""
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    labels = range(max(u.max(initial=0), v.max(initial=0)) + 1)
-    if min(u.min(initial=0), v.min(initial=0)) < 0 or len(labels) > 2 * len(u) + 1:
-        # few pairs among large labels: a label for each value that occurs
-        labels, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
-        labels, u, v = labels.tolist(), inverse[: len(u)], inverse[len(u) :]
+    labels, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
+    labels, u, v = labels.tolist(), inverse[: len(u)], inverse[len(u) :]
+    if not isinstance(weights, np.ndarray):  # an object array keeps each value's type
+        weights = np.array(weights, dtype=object)
     return "".join(edge_text_blocks(n, [(u, v, weights)], labels))
 
 
@@ -558,18 +557,15 @@ def write_dot(graph: WeightedGraph) -> str:
 
 
 def dot_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: Sequence | None = None) -> Iterator[str]:
-    """The DOT graph of n vertices, named by ``labels`` (by default their
-    numbers), with weight w at each 1-based pair (u, v), ``_WRITE_LINES``
-    lines at a time; pairs come in (u, v) order, whatever the arrays' order."""
+    """The DOT graph of n vertices, named by ``labels`` (by default their numbers), with weight w at
+    each 1-based pair (u, v), ``_WRITE_LINES`` lines at a time, in (u, v) order whatever the arrays'
+    order.  No weight text needs escaping: ``format_weight`` writes no ``"`` or ``\\``."""
     yield "graph G {\n"
     for lo in range(0, n, _WRITE_LINES):
         names = range(lo + 1, min(lo + _WRITE_LINES, n) + 1)
         yield "".join(f"  {x} [label={_dot_quote(str(x) if labels is None else labels[x - 1])}];\n" for x in names)
-    order = np.lexsort((v, u))
-    for lo in range(0, len(order), _WRITE_LINES):
-        at = order[lo : lo + _WRITE_LINES]
-        pairs = zip(u[at].tolist(), v[at].tolist(), w[at].tolist())
-        yield "".join(f"  {a} -- {b} [label={_dot_quote(format_weight(x))}];\n" for a, b, x in pairs)
+    chunks = np.split(np.lexsort((v, u)), range(_WRITE_LINES, len(u), _WRITE_LINES))
+    yield from _pair_lines(((u[at], v[at], w[at]) for at in chunks), range(n + 1), "  {} -- ", "{} [label=", '"{}"];\n')
     yield "}\n"
 
 
@@ -593,7 +589,12 @@ def stats_json_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, wiener
                      spectrum: bool = False) -> str:
     """The stats JSON of the n-vertex graph with weight w at each 1-based
     pair (u, v).  ``wiener`` is null unless requested on a connected graph;
-    ``spectrum`` is included only when requested."""
+    ``spectrum`` is included only when requested.  A requested ``wiener``
+    raises :class:`SizeBudgetError` past SYMTENSOR_MAX_N vertices: its BFS
+    takes O(n^2) time on a path."""
+    if wiener and n > _max_dim():
+        raise SizeBudgetError(f"the Wiener index of n={n} vertices exceeds the budget {_max_dim()}; "
+                              f"raise {MAX_DIM_ENV} to override")
     values = list(eigenvalues_edges(n, u, v, w).values) if spectrum else None
     wiener_value: int | None = None
     if wiener:

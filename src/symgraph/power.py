@@ -547,23 +547,28 @@ def _exact_weight(s: int, d: int, denominator: int) -> ExactWeight:
 
 
 def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int, ...], denominator: int,
-                 exact: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | list]]:
+                 exact: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | tuple]]:
     """0-based (rows, cols, weights) of the nonzero entries with row <= col of
     a core given as pieces (lo, first, block): rows lo:lo+len(block), columns
     from ``first`` on, in row order.  A piece is read before the next one is
     asked for, and consecutive pieces are joined while they scan at most
     ``_SUPPORT_BLOCK`` entries together, so every block is one writer block.
 
-    The weights are float64 S_ij / sqrt(D_i * D_j), bit-equal to
-    ``SymPowerMatrix.to_dense()``, with the pairs whose weight underflows to
-    0.0 left out; with ``exact`` they are one :class:`ExactWeight` per pair.
+    The weights are float64 S_ij / sqrt(D_i * D_j), bit-equal to ``SymPowerMatrix.to_dense()``,
+    with the pairs whose weight underflows to 0.0 left out; with ``exact`` they are (index,
+    values): one :class:`ExactWeight` per distinct (S_ij, D_i * D_j) of a block.
     """
     d = np.array(sizes, dtype=np.float64)
+    radicand = np.array(sizes, dtype=np.int64 if max(sizes) ** 2 < 2**63 else object)  # D_i * D_j must not wrap
 
     def weighted(rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
         if exact:
-            radicands = map(int.__mul__, map(sizes.__getitem__, rows.tolist()), map(sizes.__getitem__, cols.tolist()))
-            return rows, cols, list(map(_exact_weight, values.tolist(), radicands, repeat(denominator)))
+            radicands = radicand[rows] * radicand[cols]
+            _, s_at = np.unique(values, return_inverse=True)
+            d_values, d_at = np.unique(radicands, return_inverse=True)
+            _, first, index = np.unique(s_at * len(d_values) + d_at, return_index=True, return_inverse=True)
+            return rows, cols, (index, list(map(_exact_weight, values[first].tolist(), radicands[first].tolist(),
+                                                repeat(denominator))))
         w = _float_values(values, denominator)
         root = d[rows]
         root *= d[cols]
@@ -759,8 +764,8 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
                            order: str = "paper", exact: bool = False) -> tuple[int, Iterator]:
     """The dimension N of the power of ``sym_power_edges`` and the blocks of
     its nonzero pairs with row <= col: float64 weights as
-    ``SymPowerMatrix.upper_blocks()`` gives them, or with
-    ``exact`` one :class:`ExactWeight` per pair, as ``entry_exact`` gives it.
+    ``SymPowerMatrix.upper_blocks()`` gives them, or with ``exact`` (index,
+    values), one :class:`ExactWeight` per distinct (S_ij, D_i * D_j) of a block.
 
     ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, so
     no N x N core is held; ``"orbit"``, the reference, builds the whole core.

@@ -320,15 +320,41 @@ def test_power_output_bytes_match_entries(capsys, monkeypatch, source):
     assert code == 0
     assert out == _rendered(power, lambda p, i, j: p.entry(i, j))
     if power.exact:
-        calls = []
-        exact_weight = symgraph.power._exact_weight
-        monkeypatch.setattr(symgraph.power, "_exact_weight", lambda *args: calls.append(1) or exact_weight(*args))
-        code, out, _ = run_cli(capsys, ["power", "-k", "3", "--exact"], stdin=stdin, monkeypatch=monkeypatch)
-        monkeypatch.setattr(symgraph.power, "_exact_weight", exact_weight)
-        assert code == 0
-        assert out == _rendered(power, lambda p, i, j: p.entry_exact(i, j))
-        assert len(calls) == out.count("\n") - 1 > 0  # one token per nonzero pair, none for zeros
+        sizes = power.orbit_sizes
 
+        def keys(rows):
+            """The distinct (S_ij, D_i * D_j) of the nonzero pairs with row <= col in ``rows``."""
+            return {(power.core.item(i, j), sizes[i] * sizes[j])
+                    for i in rows for j in range(i, power.dim) if power.core.item(i, j)}
+
+        # one exact weight per distinct key of a block, none for zeros.  The
+        # default blocks hold the whole power; with --method orbit and blocks
+        # of one entry, each row of the core is a block
+        assert power.dim**2 <= symgraph.power._SUPPORT_BLOCK
+        cases = [([], None, len(keys(range(power.dim)))),
+                 (["--method", "orbit"], 1, sum(len(keys([i])) for i in range(power.dim)))]
+        exact_weight = symgraph.power._exact_weight
+        for flags, block, want in cases:
+            if block is not None:
+                monkeypatch.setattr(symgraph.power, "_SUPPORT_BLOCK", block)
+            calls = []
+            monkeypatch.setattr(symgraph.power, "_exact_weight", lambda *args: calls.append(1) or exact_weight(*args))
+            code, out, _ = run_cli(capsys, ["power", "-k", "3", "--exact", *flags], stdin=stdin, monkeypatch=monkeypatch)
+            monkeypatch.setattr(symgraph.power, "_exact_weight", exact_weight)
+            assert code == 0
+            assert out == _rendered(power, lambda p, i, j: p.entry_exact(i, j))
+            assert len(calls) == want
+            assert 0 < len(calls) <= out.count("\n") - 1
+
+
+def test_exact_power_whose_orbit_size_products_pass_int64(capsys, monkeypatch):
+    # at n=2, k=35 the largest orbit size is C(35, 17), whose square passes 2^63
+    text = "2\n1 1 1\n1 2 -1\n2 2 2\n"
+    power = sym_power(parse_graph(text), 35)
+    assert max(power.orbit_sizes) ** 2 >= 2**63 > max(power.orbit_sizes)
+    code, out, err = run_cli(capsys, ["power", "-k", "35", "--exact"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == _rendered(power, lambda p, i, j: p.entry_exact(i, j))
 
 def test_stats_on_a_power_builds_no_weighted_graph(capsys, monkeypatch):
     _, power_text, _ = run_cli(capsys, ["power", "-k", "3"], stdin="5\n1 2\n2 3\n3 4\n4 5\n1 1\n",
@@ -455,6 +481,59 @@ def test_streamed_power_equals_the_joined_arrays_in_any_block_size(capsys, monke
         code, out, err = run_cli(capsys, argv, stdin=STREAM_GRAPHS[path], monkeypatch=monkeypatch)
         assert (code, err) == (0, "")
         assert out == text, (path, exact)
+
+
+
+def _dot_per_pair(n, u, v, w, labels=None):
+    """DOT rendered one f-string per vertex and per pair, pairs in (u, v) order."""
+    from symgraph.fileio import _dot_quote, format_weight
+
+    lines = [f"  {x} [label={_dot_quote(str(x) if labels is None else labels[x - 1])}];\n" for x in range(1, n + 1)]
+    pairs = sorted(zip(u.tolist(), v.tolist(), w.tolist()), key=lambda pair: pair[:2])
+    lines += [f"  {a} -- {b} [label={_dot_quote(format_weight(x))}];\n" for a, b, x in pairs]
+    return "graph G {\n" + "".join(lines) + "}\n"
+
+
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_dot_equals_the_per_pair_rendering_in_any_block_size(capsys, monkeypatch, size):
+    from symgraph.fileio import parse_edges, write_dot
+
+    texts = dict(STREAM_GRAPHS)
+    for path, text in STREAM_GRAPHS.items():  # the powers, whose lines cross chunks of 7
+        texts[path + " power"] = run_cli(capsys, ["power", "-k", "3"], stdin=text, monkeypatch=monkeypatch)[1]
+    # a later chunk of 7 with more distinct texts than the first: the byte table regrows
+    texts["regrow"] = "20\n" + "".join(f"1 {v} 1\n" for v in range(1, 8)) + "".join(
+        f"2 {v} {v / 7}\n" for v in range(2, 21))
+    # labels that DOT must escape, and weights of every type
+    graph = WeightedGraph(3, {(1, 1): Fraction(1, 3), (1, 2): 2**70, (2, 3): 0.25, (3, 3): 1}, ['a"b', "c\\d", 'e\\"'])
+    want = {name: _dot_per_pair(*parse_edges(text)) for name, text in texts.items()}
+    _block_sizes(monkeypatch, size)
+    for name, text in texts.items():
+        assert run_cli(capsys, ["dot"], stdin=text, monkeypatch=monkeypatch) == (0, want[name], ""), name
+    assert write_dot(graph) == _dot_per_pair(graph.n, *edge_arrays(graph), graph.labels)
+    assert 'label="a\\"b"' in write_dot(graph)
+
+
+def test_dot_keeps_int_and_float_weight_tokens(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["dot"], stdin="3\n1 2 1\n2 3 1.0\n", monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert '  1 -- 2 [label="1"];\n  2 -- 3 [label="1.0"];\n' in out
+
+
+@pytest.mark.parametrize("argv", [["stats", "--wiener"], ["stats", "--wiener", "--spectrum"]], ids=" ".join)
+def test_stats_wiener_past_the_size_budget_exits_2_before_the_bfs(capsys, monkeypatch, argv):
+    import symgraph.analysis
+    from symgraph.fileio import write_graph
+
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "10")
+    code, out, err = run_cli(capsys, argv, stdin=write_graph(path(10)), monkeypatch=monkeypatch)
+    assert (code, err) == (0, "") and json.loads(out)["wiener"] == 165
+    monkeypatch.setattr(symgraph.analysis, "wiener_index_edges", None)  # no BFS past the bound
+    # path 11, and a disconnected graph, whose wiener is null within the bound
+    for text in (write_graph(path(11)), "11\n1 2\n"):
+        code, out, err = run_cli(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "error: the Wiener index of n=11 vertices exceeds the budget 10; raise SYMTENSOR_MAX_N to override\n"
 
 
 WHOLE_CORE_GRAPHS = {

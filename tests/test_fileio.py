@@ -502,6 +502,21 @@ def test_write_edges_reproduces_the_tokens_of_parsed_arrays(text):
     assert write_edges(*parse_edges(text)) == text
 
 
+
+def test_write_edges_keeps_each_weight_type_through_the_distinct_step():
+    # a list is not read as a float array, so 1 stays 1
+    assert write_edges(2, [1, 1], [1, 2], [1, 2.5]) == "2\n1 1 1\n1 2 2.5\n"
+    weights = [1, 1.0, Fraction(1, 2), 10**30, 1, Fraction(2, 2), 1.0, True]
+    ones = np.ones(len(weights) - 1, dtype=np.int64)
+    objects = np.array(weights[:-1], dtype=object)
+    want = "1\n" + "".join(f"1 1 {format_weight(w)}\n" for w in weights[:-1])
+    assert want == "1\n1 1 1\n1 1 1.0\n1 1 0.5\n1 1 " + str(10**30) + "\n1 1 1\n1 1 1\n1 1 1.0\n"
+    assert write_edges(1, ones, ones, objects) == want
+    assert write_edges(1, ones, ones, weights[:-1]) == want
+    with pytest.raises(TypeError):  # a bool is no weight, among ints too
+        write_edges(1, [1, 1], [1, 1], [1, True])
+
+
 def test_write_graph_deterministic():
     g = WeightedGraph(3, {(2, 3): 1, (1, 2): 2.5})
     out = write_graph(g)
