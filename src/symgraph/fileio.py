@@ -37,7 +37,7 @@ import numpy as np
 from . import analysis
 from .exact import ExactWeight
 from .graphs import WeightedGraph, edge_arrays
-from .power import MAX_DIM_ENV, SizeBudgetError, _max_dim
+from .power import _check_budget
 from .spectra import eigenvalues_edges
 
 
@@ -471,6 +471,8 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 def format_weight(w) -> str:
+    if type(w) is float:  # the common case, ahead of the slower ABC checks below
+        return repr(w)
     if isinstance(w, bool):
         raise TypeError("boolean weight")
     if isinstance(w, int):
@@ -592,9 +594,8 @@ def stats_json_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, wiener
     ``spectrum`` is included only when requested.  A requested ``wiener``
     raises :class:`SizeBudgetError` past SYMTENSOR_MAX_N vertices: its BFS
     takes O(n^2) time on a path."""
-    if wiener and n > _max_dim():
-        raise SizeBudgetError(f"the Wiener index of n={n} vertices exceeds the budget {_max_dim()}; "
-                              f"raise {MAX_DIM_ENV} to override")
+    if wiener:
+        _check_budget(f"the Wiener index of n={n} vertices", n)
     values = list(eigenvalues_edges(n, u, v, w).values) if spectrum else None
     wiener_value: int | None = None
     if wiener:

@@ -34,8 +34,9 @@ Two independent kernels fill the core:
 The per-entry oracles ``entry_orbit_sum`` and ``entry_permanent`` take any
 square matrix, symmetric or not, since Sym^k(A) is defined for every square
 A; the permutation suite feeds them permutation matrices.  The one size
-setting is the ``SYMTENSOR_MAX_N`` environment variable (default 5000),
-the budget on the power dimension N.
+setting, ``SYMTENSOR_MAX_N`` (default 5000), is read by ``_check_budget``
+alone: it caps N, and what an object-path kernel holds (``_object_bytes``)
+at the bytes of an int64 core at that N.
 
 Rational input is scaled to integers by the common denominator L first, and
 either kernel runs on the scaled matrix in int64 while a bound on every
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -76,8 +78,6 @@ from .graphs import WeightedGraph, all_rational, dense_matrix, edge_arrays, squa
 METHODS = ("orbit", "permanent")
 
 PERMANENT_CAP = 20  # Ryser walks 2^k subsets; beyond this, refuse
-DEFAULT_MAX_DIM = 5000
-MAX_DIM_ENV = "SYMTENSOR_MAX_N"
 
 # the orbit kernel tabulates all n^k ordered tuples; past this size it refuses
 # before allocating, as its double sum would take over (n^k)^2 / 2 products
@@ -104,21 +104,24 @@ _MIRROR_TILE = 64
 # core entries scanned at a time for the nonzero upper-triangle pairs
 _SUPPORT_BLOCK = 1 << 15
 
-# bytes per object core entry: a Python int took about 68 at n=10, k=5
-# (N=2002) with weights from 10^5 to 10^6
-_OBJECT_ENTRY_BYTES = 68
-
 
 class SizeBudgetError(ValueError):
-    """The requested power dimension exceeds the configured budget."""
+    """A size past the SYMTENSOR_MAX_N budget or the orbit kernel's table cap."""
 
 
 class PermanentCapError(ValueError):
     """The permanent's size exceeds Ryser's subset-enumeration cap."""
 
 
-def _max_dim() -> int:
-    return int(os.environ.get(MAX_DIM_ENV, str(DEFAULT_MAX_DIM)))
+def _check_budget(what: str, dim: int = 0, held: int = 0) -> None:
+    """Refuse ``what`` with :class:`SizeBudgetError` when its dimension
+    ``dim`` passes SYMTENSOR_MAX_N (default 5000), or when the ``held`` bytes
+    it would hold pass the 8 * SYMTENSOR_MAX_N^2 bytes of an int64 core there."""
+    cap = int(os.environ.get("SYMTENSOR_MAX_N", "5000"))
+    if dim > cap or held > 8 * cap * cap:
+        over = (f"exceeds the budget {cap}" if dim > cap else f"would take about {held:,} bytes, more than the "
+                f"{8 * cap * cap:,} of an int64 core at the budget {cap}")
+        raise SizeBudgetError(f"{what} {over}; raise SYMTENSOR_MAX_N to override")
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +536,17 @@ def _float_values(values: np.ndarray, denominator: int) -> np.ndarray:
         raise ValueError("a power entry is past the float64 range; entry_exact (power --exact) holds it") from None
 
 
-def _check_float_range(values: np.ndarray, denominator: int) -> None:
-    """Refuse core entries whose S value is past the float64 range: an
-    entry of an exact core too large for a float, or a float core's inf or nan."""
-    ends = _float_values(np.array([values.min(), values.max()], dtype=object), denominator)
-    if not np.isfinite(ends).all():
-        raise ValueError("a power entry is past the float64 range")
+def _check_float_range(pieces: Iterable[tuple[int, int, np.ndarray]], path: str, denominator: int,
+                       bound=math.inf) -> None:
+    """Refuse core entries whose S value is past the float64 range: an exact
+    entry too large for a float, or a float inf or nan.  The pieces are read
+    unless the core is int64 or ``bound`` on every entry, over L^k, rules it out."""
+    if path == "int64" or bound < _FLOAT_SAFE * denominator:
+        return
+    for _, _, values in pieces:
+        ends = _float_values(np.array([values.min(), values.max()], dtype=object), denominator)
+        if not np.isfinite(ends).all():
+            raise ValueError("a power entry is past the float64 range")
 
 
 def _exact_weight(s: int, d: int, denominator: int) -> ExactWeight:
@@ -653,8 +661,7 @@ class SymPowerMatrix:
         and pairs whose weight underflows to 0.0 (no edge in ``to_dense``) are
         left out.  An entry past the float64 range, or a float core's inf or
         nan, raises ValueError here, before the first block."""
-        if self.path != "int64":
-            _check_float_range(self.core, self.denominator)
+        _check_float_range([(0, 0, self.core)], self.path, self.denominator)
         return _edge_blocks(self._pieces(), self.orbit_sizes, self.denominator, exact=False)
 
     def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -684,23 +691,19 @@ class _Scaled(NamedTuple):
     denominator: int  # L^k
     tuples: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
+    bound: object  # _core_bound of a: a Python int, or a float64 on the float path
 
 
 def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str, order: str) -> _Scaled:
-    """Check the arguments and both size budgets, choose the exact or float
+    """Check the arguments, N and the orbit table cap, choose the exact or float
     path, scale rational weights to integers by their common denominator L,
-    and choose int64 or Python ints by the bound on every intermediate."""
+    and keep the bound on every intermediate, which picks int64 or Python ints."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
     big = multiset_count(n, k)
-    cap = _max_dim()
-    if big > cap:
-        raise SizeBudgetError(
-            f"power dimension N={big} (n={n}, k={k}) exceeds the budget {cap}; "
-            f"raise {MAX_DIM_ENV} to override"
-        )
+    _check_budget(f"power dimension N={big} (n={n}, k={k})", dim=big)
     if method == "orbit" and n**k > _ORDERED_TABLE_CAP:
         raise SizeBudgetError(
             f"the orbit kernel tabulates n^k = {n**k} ordered tuples (n={n}, k={k}), "
@@ -714,22 +717,32 @@ def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method:
         scale = math.lcm(*(x.denominator for x in w))
         denominator = scale**k
         a = dense_matrix(n, u, v, w * scale // 1, object)  # Fraction // 1 is an int
-        fits = _core_bound(method, k, a, max(sizes)) < _INT64_SAFE
-        path = "int64" if fits else "object"
-        a = a.astype(path)
     else:
-        path = "float64"
         a = dense_matrix(n, u, v, w, np.float64)
-    # the bytes of an int64 core at the dimension budget bound every core;
-    # only an object core, past 8 bytes an entry, can take more
-    need, allowed = _OBJECT_ENTRY_BYTES * big * big, 8 * cap * cap
-    if path == "object" and need > allowed:
-        raise SizeBudgetError(f"the {path} core of N={big} (n={n}, k={k}) would take about {need:,} bytes, more than "
-                              f"the {allowed:,} of an int64 core at the budget {cap}; raise {MAX_DIM_ENV} to override")
-    return _Scaled(a, exact, path, denominator, tuples, sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _core_bound(method, k, a, max(sizes))
+    path = ("int64" if bound < _INT64_SAFE else "object") if exact else "float64"
+    return _Scaled(a.astype(path, copy=False), exact, path, denominator, tuples, sizes, bound)
+
+
+def _object_bytes(s: _Scaled, n: int, k: int, method: str, whole: bool) -> int:
+    """The most bytes a kernel holds at once on the object path, an entry
+    priced as a pointer and an int of the bound's size: the orbit kernel's
+    core, its upper triangle, their sum and a chunk of k-fold products; the
+    linear-form kernel's lower degrees, temporaries and whole core, or else
+    its scratch block and the pairs that ``_edge_blocks`` joins."""
+    entry, big = sys.getsizeof(s.bound) + 8, len(s.sizes)
+    if method == "orbit":
+        return big * big * (2 * entry + 8) + max(s.sizes) * min(_ORBIT_CHUNK, n**k) * (8 * k + entry)
+    room = min(max(_BLOCK_ELEMS, big), big**2)  # as in _linear_form_blocks
+    # a joined pair holds its value and, for exact output, a numerator as large
+    last = big * big if whole else room + 2 * min(_SUPPORT_BLOCK, big * big)
+    return entry * (sum(m * (m + 1) for m in map(partial(multiset_count, n), range(1, k))) + 2 * room + last)
 
 
 def _whole_power(s: _Scaled, n: int, k: int, method: str, order: str) -> SymPowerMatrix:
+    if s.path == "object":
+        _check_budget(f"the object core of N={len(s.sizes)} (n={n}, k={k})", held=_object_bytes(s, n, k, method, True))
     kernel = _core_linear_forms if method == "permanent" else _core_orbit_numpy
     # upper_blocks reports a float core past the float64 range (inf or nan) as one error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -739,37 +752,28 @@ def _whole_power(s: _Scaled, n: int, k: int, method: str, order: str) -> SymPowe
 
 
 def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: str = "paper") -> SymPowerMatrix:
-    """Adjacency matrix of the k-th symmetric tensor power of ``graph``."""
-    return sym_power_edges(graph.n, *edge_arrays(graph), k, method=method, order=order)
+    """Adjacency matrix of the k-th symmetric tensor power of ``graph``.
 
-
-def sym_power_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str = "permanent",
-                    order: str = "paper") -> SymPowerMatrix:
-    """The k-th symmetric tensor power of the n-vertex graph with weight w at
-    each 1-based pair (u, v).
-
-    Rational input weights produce an exact core; any float weight switches
-    the whole core to float64.  The result is deterministic for fixed
-    arguments.  Raises :class:`SizeBudgetError` before allocating when the
-    power dimension exceeds the SYMTENSOR_MAX_N environment variable
-    (default 5000), when the core would take more bytes
-    than an int64 core of that dimension (8 bytes per int64 or float64
-    entry, about 68 per object entry), and for ``method="orbit"`` when n^k
-    exceeds 2,000,000.
-    """
+    Rational input weights give an exact core, any float weight a float64
+    one; the result is deterministic.  Raises :class:`SizeBudgetError`
+    before any kernel runs when N passes SYMTENSOR_MAX_N (default 5000), when
+    an object core and its kernel's temporaries would take more bytes than
+    an int64 core of that N, and for ``method="orbit"`` when n^k exceeds
+    2,000,000."""
+    n, (u, v, w) = graph.n, edge_arrays(graph)
     return _whole_power(_scaled(n, u, v, w, k, method, order), n, k, method, order)
 
 
 def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str = "permanent",
                            order: str = "paper", exact: bool = False) -> tuple[int, Iterator]:
-    """The dimension N of the power of ``sym_power_edges`` and the blocks of
-    its nonzero pairs with row <= col: float64 weights as
-    ``SymPowerMatrix.upper_blocks()`` gives them, or with ``exact`` (index,
-    values), one :class:`ExactWeight` per distinct (S_ij, D_i * D_j) of a block.
+    """The dimension N of the power of the n-vertex graph with weight w at each
+    1-based pair (u, v), and the blocks of its nonzero pairs with row <= col:
+    float64 weights as ``SymPowerMatrix.upper_blocks()`` gives them, or with
+    ``exact`` (index, values), one :class:`ExactWeight` per distinct (S_ij, D_i * D_j) of a block.
 
     ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, so
     no N x N core is held; ``"orbit"``, the reference, builds the whole core.
-    Every refusal comes before this returns: those of ``sym_power_edges``,
+    Every refusal comes before this returns: those of ``sym_power``,
     ``exact`` on float input (before any kernel runs), and an entry past the
     float64 range.  When the kernel's bound on every entry over L^k
     (D_max * r^k / L^k for ``permanent``) cannot rule that out, the stream
@@ -781,13 +785,12 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
     if method == "orbit":
         pieces = _whole_power(s, n, k, method, order)._pieces
     else:
+        if s.path == "object":
+            _check_budget(f"the streamed object power of N={len(s.sizes)} (n={n}, k={k})",
+                          held=_object_bytes(s, n, k, method, False))
         pieces = partial(_linear_form_blocks, s.a, n, k, order)
-    if not exact and s.path != "int64":
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = _core_bound(method, k, s.a, max(s.sizes))
-        if not bound < _FLOAT_SAFE * s.denominator:
-            for _, _, block in pieces():
-                _check_float_range(block, s.denominator)
+    if not exact:
+        _check_float_range(pieces(), s.path, s.denominator, s.bound)
     return len(s.sizes), _edge_blocks(pieces(), s.sizes, s.denominator, exact)
 
 

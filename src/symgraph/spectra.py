@@ -19,7 +19,7 @@ import numpy as np
 
 from .combinatorics import multiset_count
 from .graphs import dense_matrix
-from .power import SizeBudgetError, _max_dim
+from .power import _check_budget
 
 DEFAULT_TOL = 1e-8
 
@@ -86,14 +86,14 @@ def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     a = np.asarray(matrix, dtype=np.float64)  # a float64 array is read, not copied
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    _check_dimension(a.shape[0])
+    _check_budget(f"matrix dimension {a.shape[0]}", a.shape[0])
     return _halved_eigenvalues(a, np.empty(a.shape), tol)
 
 
 def eigenvalues_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Spectrum:
     """:func:`eigenvalues_symmetric` of the n-vertex graph with weight w at
     each 1-based pair (u, v), refused past the budget before the matrix is built."""
-    _check_dimension(n)
+    _check_budget(f"matrix dimension {n}", n)
     a = dense_matrix(n, u, v, w, np.float64)
     return _halved_eigenvalues(a, a, DEFAULT_TOL)  # nothing else holds a, so its halves overwrite it
 
@@ -127,11 +127,6 @@ def _halved_eigenvalues(a: np.ndarray, out: np.ndarray, tol: float) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise JacobiConvergenceError(f"eigenvalue solver failed: {exc}") from exc
     return Spectrum(tuple(values.tolist()), tol)
-
-
-def _check_dimension(n: int) -> None:
-    if n > _max_dim():
-        raise SizeBudgetError(f"matrix dimension {n} exceeds the budget {_max_dim()}")
 
 
 def predicted_power_spectrum(spectrum: Spectrum, k: int) -> Spectrum:

@@ -408,7 +408,8 @@ def test_spectrum_past_the_size_budget_exits_2_before_building_the_matrix(capsys
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out, err) == (2, "", f"error: matrix dimension {n} exceeds the budget 5000\n")
+    assert (code, out, err) == (2, "", f"error: matrix dimension {n} exceeds the budget 5000; "
+                                "raise SYMTENSOR_MAX_N to override\n")
     assert peak < 50 * 2**20, peak  # the dense matrix would take 8 n^2 bytes
 
 
@@ -695,18 +696,52 @@ def test_commands_reading_a_dense_power_run_in_bounded_memory(tmp_path):
     assert all(mb <= bare + 60 for mb in peaks.values()), (bare, peaks)
 
 
+def _signed_loops_text(n=10, seed=14):
+    """A seeded n-vertex graph file with a loop at every vertex and about half
+    of the other pairs, each weighted by a signed multiple of 70,001, at most
+    9 * 70,001 in absolute value: its k=5 power (N=2,002 at n=10) runs on
+    Python ints."""
+    import random
+
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1) if a == b or rng.random() < 0.5]
+    return f"{n}\n" + "".join(f"{a} {b} {rng.choice((-1, 1)) * rng.randint(1, 9) * 70_001}\n" for a, b in pairs)
+
+
 def test_power_at_the_top_of_the_budget_runs_in_bounded_memory(tmp_path):
     # power -k 5 of complete_loops 12 (N = 4,368, 9.5M pairs) streams the last
     # degree to the writer, where its whole int64 core alone would take
-    # 153 MB; the process may peak at most 40 MB above a bare import of the CLI
+    # 153 MB, and so does the object power of _signed_loops_text (N = 2,002),
+    # whose whole core the budget refuses; each process may peak at most
+    # 40 MB above a bare import of the CLI
     import os
 
-    source = tmp_path / "family.txt"
+    source, signed = tmp_path / "family.txt", tmp_path / "signed.txt"
     assert main(["family", "complete_loops", "12", "-o", str(source)]) == 0
+    signed.write_text(_signed_loops_text())
     shim = "import sys; from symgraph.cli import main; sys.exit(main())"
     bare = _peak_mb(["import symgraph.cli"])
-    power_mb = _peak_mb([shim, "power", "-k", "5", "-o", os.devnull, str(source)])
-    assert power_mb <= bare + 40, (bare, power_mb)
+    peaks = [_peak_mb([shim, "power", "-k", "5", "-o", os.devnull, str(path)]) for path in (source, signed)]
+    assert max(peaks) <= bare + 40, (bare, peaks)
+
+
+def test_the_whole_object_core_past_the_default_budget_refuses_before_any_kernel_runs(tmp_path, capsys, monkeypatch):
+    # the N=2,002 object power of _signed_loops_text streams (see above), but
+    # its whole core, for sym_power or --method orbit, is priced past the
+    # 200 MB of an int64 core at the default budget
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for name in ("_linear_form_blocks", "_core_linear_forms", "_core_orbit_numpy"):
+        monkeypatch.setattr(symgraph.power, name, kernel)
+    monkeypatch.delenv("SYMTENSOR_MAX_N", raising=False)
+    source = tmp_path / "signed.txt"
+    source.write_text(_signed_loops_text())
+    with pytest.raises(symgraph.power.SizeBudgetError, match=r"the object core of N=2002 \(n=10, k=5\) would take"):
+        sym_power(parse_graph(source.read_text()), 5)
+    code, out, err = run_cli(capsys, ["power", "-k", "5", "--method", "orbit", str(source)])
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: the object core of N=2002 (n=10, k=5) would take about"), err
 
 
 def test_closed_forms_hold_through_the_streamed_power_at_pipeline_scale(capsys, monkeypatch):
@@ -749,14 +784,35 @@ def test_verify_kernels_runs_in_bounded_memory():
 
 
 def test_power_past_the_core_bytes_budget_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMTENSOR_MAX_N", "20")
+    # an object core is charged for its N^2 entries, the streamed power only
+    # for its lower degrees and temporaries; each refusal is one error line,
+    # exit 2 and no stdout
+    import random
+
+    def refused(argv, start):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1, (code, err)
+        assert err.startswith(start) and err.endswith("; raise SYMTENSOR_MAX_N to override\n"), err
+
     source = tmp_path / "in.txt"
     source.write_text("3\n1 1 1000000000\n1 2 1000000001\n2 3 -7\n")
-    code, out, err = run_cli(capsys, ["power", "-k", "3", str(source)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: the object core of N=10") and "SYMTENSOR_MAX_N" in err
-    code, out, _ = run_cli(capsys, ["power", "-k", "2", str(source)])
-    assert code == 0 and out.startswith("6\n")
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "20")
+    refused(["power", "-k", "3", "--method", "orbit", str(source)], "error: the object core of N=10 (n=3, k=3)")
+    # n=14, k=3 (N=560) with 48-byte entries: the stream is priced at about
+    # 6.0 MB, which SYMTENSOR_MAX_N=1000 allows (8.0 MB) and 600 does not
+    # (2.9 MB); the whole core at about 17.2 MB (orbit: 33.8 MB)
+    rng = random.Random(3)
+    n = 14
+    pairs = [(a, b, rng.randint(-10**9, 10**9)) for a in range(1, n + 1) for b in range(a, n + 1)]
+    source.write_text(f"{n}\n" + "".join(f"{a} {b} {w}\n" for a, b, w in pairs))
+    target = tmp_path / "out.txt"
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "1000")
+    refused(["power", "-k", "3", "--method", "orbit", str(source)], "error: the object core of N=560 (n=14, k=3)")
+    assert run_cli(capsys, ["power", "-k", "3", "-o", str(target), str(source)]) == (0, "", "")
+    assert target.read_text().startswith("560\n")
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "600")
+    refused(["power", "-k", "3", str(source)], "error: the streamed object power of N=560 (n=14, k=3)")
+    refused(["power", "-k", "3", "--exact", str(source)], "error: the streamed object power of N=560 (n=14, k=3)")
 
 
 @pytest.mark.parametrize("method", ["permanent", "orbit"])

@@ -8,7 +8,16 @@ import pytest
 
 from symgraph.combinatorics import VertexMultiset, enumerate_multisets, orbit_size, rank
 from symgraph.exact import ExactWeight
-from symgraph.graphs import WeightedGraph, adjacency_matrix, complete, complete_loops, path, scepter, star
+from symgraph.graphs import (
+    WeightedGraph,
+    adjacency_matrix,
+    complete,
+    complete_loops,
+    edge_arrays,
+    path,
+    scepter,
+    star,
+)
 from symgraph.power import (
     PermanentCapError,
     SizeBudgetError,
@@ -884,22 +893,60 @@ def test_nesting_path_edge_alternation():
 
 
 def test_a_core_past_the_bytes_of_an_int64_core_at_the_budget_refuses_first(monkeypatch):
-    # SYMTENSOR_MAX_N=20 allows 8 * 20^2 = 3,200 bytes: an object core of
-    # N=6 (68 * 36 = 2,448 bytes) runs, one of N=10 (6,800 bytes) refuses
-    # before the kernel runs, while an int64 core of N=10 (800 bytes) runs
+    # SYMTENSOR_MAX_N=c allows the 8 c^2 bytes of an int64 core.  An object
+    # entry is priced at sys.getsizeof(bound) + 8 bytes, and sym_power holds
+    # N^2 entries, the n (n + 1) of degree 1 and the k=3 core's 6 * 7 of
+    # degree 2, and two temporaries of N^2 entries (N <= 128):
+    # - g's N=6 core, 44-byte entries: 120 * 44 = 5,280 bytes, runs at c=30
+    #   (7,200 bytes);
+    # - its N=10 core, 48-byte entries: 354 * 48 = 16,992 bytes, refuses at
+    #   c=30 and c=40 (12,800 bytes) before the kernel runs, runs at c=50
+    #   (20,000 bytes);
+    # - an int64 core of N=10 runs at c=30;
+    # - the N=6 core of g with 10^300 in place of 10^9, 300-byte entries:
+    #   120 * 300 = 36,000 bytes, refuses at c=30 and c=60 (28,800 bytes)
+    #   before the kernel runs, runs at c=70 (39,200 bytes)
     import symgraph.power
 
-    monkeypatch.setenv("SYMTENSOR_MAX_N", "20")
     g = WeightedGraph(3, {(1, 1): 10**9, (1, 2): 10**9 + 1, (2, 3): -7})
+    huge = WeightedGraph(3, {(1, 1): 10**300, (1, 2): 10**300 + 1, (2, 3): -7})
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "30")
     assert sym_power(g, 2).path == "object"
     assert sym_power(path(3), 3).path == "int64"
-    monkeypatch.setenv("SYMTENSOR_MAX_N", "30")
-    assert sym_power(g, 3).dim == 10  # 8 * 30^2 = 7,200 bytes
-    monkeypatch.setenv("SYMTENSOR_MAX_N", "20")
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "50")
+    assert sym_power(g, 3).dim == 10
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "70")
+    assert sym_power(huge, 2).path == "object"
 
     def kernel(*args):
         raise AssertionError("the kernel ran")
 
     monkeypatch.setattr(symgraph.power, "_core_linear_forms", kernel)
-    with pytest.raises(SizeBudgetError, match="object core of N=10 .* SYMTENSOR_MAX_N"):
-        sym_power(g, 3)
+    for cap, graph, k, dim in (("30", g, 3, 10), ("40", g, 3, 10), ("30", huge, 2, 6), ("60", huge, 2, 6)):
+        monkeypatch.setenv("SYMTENSOR_MAX_N", cap)
+        with pytest.raises(SizeBudgetError, match=f"object core of N={dim} .* SYMTENSOR_MAX_N"):
+            sym_power(graph, k)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.4])
+@pytest.mark.parametrize("weight", [10**5, 10**20, 10**100, 10**300])
+def test_the_object_price_is_never_below_the_core_bytes(weight, density):
+    # the bytes of an object core: a pointer per entry and each distinct int
+    # once (the mirrored triangle shares its ints); the price of either
+    # method's whole core may not fall below them
+    import sys
+
+    from symgraph.power import _object_bytes, _scaled
+
+    rng = random.Random(7)
+    n, k = 8, 4
+    g = WeightedGraph(n, {(a, b): rng.choice((-1, 1)) * rng.randint(1, 9) * weight
+                          for a in range(1, n + 1) for b in range(a, n + 1) if rng.random() < density})
+    power = sym_power(g, k)
+    assert power.path == "object"
+    ints = {id(x): x for x in power.core.flat}
+    held = 8 * power.core.size + sum(map(sys.getsizeof, ints.values()))
+    for method in ("permanent", "orbit"):
+        scaled = _scaled(n, *edge_arrays(g), k, method, "paper")
+        assert scaled.path == "object"
+        assert _object_bytes(scaled, n, k, method, True) >= held, method
