@@ -104,6 +104,17 @@ def multiset_count(n: int, k: int) -> int:
     return count
 
 
+def _sorted_tuples(n: int, k: int, order: str) -> list[tuple[int, ...]]:
+    """The entries of ``enumerate_multisets(n, k, order)`` as plain tuples."""
+    _check_order(order)
+    multiset_count(n, k)  # validates arguments and the size guard
+    tuples = list(combinations_with_replacement(range(1, n + 1), k))  # lex order
+    if order == "paper":
+        # nondecreasing, so constant iff first == last
+        tuples = [(v,) * k for v in range(1, n + 1)] + [t for t in tuples if t[0] != t[-1]]
+    return tuples
+
+
 def enumerate_multisets(n: int, k: int, order: str = "paper") -> list[VertexMultiset]:
     """All N nondecreasing k-tuples over {1..n}, each exactly once.
 
@@ -111,19 +122,7 @@ def enumerate_multisets(n: int, k: int, order: str = "paper") -> list[VertexMult
     tuples first (in increasing vertex order) and then the remaining tuples
     lexicographically; this is the order used for printed power matrices.
     """
-    _check_order(order)
-    multiset_count(n, k)  # validates arguments and the size guard
-    if order == "lex":
-        tuples = [t for t in combinations_with_replacement(range(1, n + 1), k)]
-    else:
-        constants = [(i,) * k for i in range(1, n + 1)]
-        rest = [
-            t
-            for t in combinations_with_replacement(range(1, n + 1), k)
-            if t[0] != t[-1]  # nondecreasing, so constant iff first == last
-        ]
-        tuples = constants + rest
-    return [VertexMultiset(t, n) for t in tuples]
+    return [VertexMultiset(t, n) for t in _sorted_tuples(n, k, order)]
 
 
 def _lex_rank(entries: tuple[int, ...], n: int) -> int:

@@ -12,7 +12,8 @@ Two independent kernels fill the core:
 * ``orbit``     -- the defining double sum over all rearrangements of the two
                    index tuples.  Cost per entry is |orbit(i)| * |orbit(j)| * k;
                    slow and unimpeachable, so it serves as the reference.  It
-                   tabulates all n^k ordered tuples and refuses with
+                   tabulates all n^k ordered tuples, the orbits of
+                   ``enumerate_orbit`` back to back, and refuses with
                    :class:`SizeBudgetError` when n^k exceeds 2,000,000.
 * ``permanent`` -- the symmetric power acting on degree-k polynomials (Bhatia,
                    *Matrix Analysis*, I.5): S[i][j] = D[i] times the coefficient
@@ -41,12 +42,11 @@ at the bytes of an int64 core at that N.
 Rational input is scaled to integers by the common denominator L first, and
 either kernel runs on the scaled matrix in int64 while a bound on every
 intermediate stays below 2^62, on Python ints (``dtype=object``) past it.  The
-``permanent`` bound is D_max * r^k, r being the largest absolute row sum of the
-scaled matrix: no degree-d partial sum can exceed r^d.  The ``orbit`` bound is
-D_max^2 * w_max^k.  Float input runs in float64; nonnegative weights then give
-exact zeros in the ``permanent`` core wherever the exact power is zero, since
-nothing is subtracted.  ``SymPowerMatrix.path`` says which of int64, object or
-float64 ran.  Results are deterministic.
+bound is D_max * r^k for both (``_core_bound``), r being the largest absolute
+row sum of the scaled matrix.  Float input runs in float64; nonnegative weights
+then give exact zeros in the ``permanent`` core wherever the exact power is
+zero, since nothing is subtracted.  ``SymPowerMatrix.path`` says which of
+int64, object or float64 ran.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations_with_replacement, product, repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -65,7 +65,7 @@ import numpy as np
 from .combinatorics import (
     COUNT_LIMIT,
     VertexMultiset,
-    _check_order,
+    _sorted_tuples,
     enumerate_multisets,
     enumerate_orbit,
     multiset_count,
@@ -159,11 +159,7 @@ def _index_data(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ...]
 def _index_tables(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], np.ndarray]:
     """The tuples and orbit sizes of ``_index_data``, and the tuples as an
     (N, k) array of 0-based vertices."""
-    _check_order(order)
-    multiset_count(n, k)  # validates arguments and the size guard
-    tuples = list(combinations_with_replacement(range(1, n + 1), k))  # lex order
-    if order == "paper":
-        tuples = [(v,) * k for v in range(1, n + 1)] + [t for t in tuples if t[0] != t[-1]]
+    tuples = _sorted_tuples(n, k, order)
     table = np.fromiter(chain.from_iterable(tuples), dtype=np.intp, count=len(tuples) * k).reshape(-1, k) - 1
     # k! / prod(m_v!) as a product over positions: position p brings a factor
     # (p + 1) / run, run counting the copies of its vertex at positions <= p.
@@ -183,21 +179,14 @@ def _index_tables(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ..
 
 @lru_cache(maxsize=4)
 def _ordered_table(n: int, k: int, order: str) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """All n^k ordered tuples (0-based) in lexicographic order, the rank of
-    each tuple's sorted form, and the orbit of each rank: a (D_i, k) array
-    of its ordered tuples, in lexicographic order as ``enumerate_orbit``
-    lists them."""
+    """All n^k ordered tuples (0-based), the rank of each tuple's sorted form,
+    and the orbit of each rank, a (D_i, k) view of the tuples: the tuples
+    are the orbits of ``enumerate_orbit`` back to back in rank order."""
     tuples, sizes = _index_data(n, k, order)
-    rank_by_tuple = {t: i for i, t in enumerate(tuples)}
-    ordered = np.empty((n**k, k), dtype=np.int64)
-    ranks = np.empty(n**k, dtype=np.int64)
-    for idx, q in enumerate(product(range(1, n + 1), repeat=k)):
-        ordered[idx] = q
-        ranks[idx] = rank_by_tuple[tuple(sorted(q))]
-    ordered -= 1
-    # a stable sort keeps each orbit's tuples in lexicographic order
-    orbits = np.split(ordered[np.argsort(ranks, kind="stable")], np.cumsum(sizes)[:-1])
-    return ordered, ranks, tuple(orbits)
+    listed = chain.from_iterable(enumerate_orbit(VertexMultiset(t, n)) for t in tuples)
+    ordered = np.fromiter(chain.from_iterable(listed), dtype=np.int64, count=n**k * k).reshape(-1, k) - 1
+    ranks = np.repeat(np.arange(len(tuples)), sizes)
+    return ordered, ranks, tuple(np.split(ordered, np.cumsum(sizes)[:-1]))
 
 
 @lru_cache(maxsize=64)
@@ -326,7 +315,7 @@ def _entry_orbit_sum(rows: list[list], rational: bool, i: VertexMultiset, j: Ver
 
 
 def entry_permanent(matrix, i: VertexMultiset, j: VertexMultiset):
-    """One entry of Sym^k(matrix) via a k x k permanent (the fast kernel).
+    """One entry of Sym^k(matrix) via a k x k permanent (the per-entry oracle).
 
     Equals ``entry_orbit_sum`` exactly on rational square matrices: the
     double sum collapses to perm(B) / sqrt(prod of multiplicity factorials),
@@ -365,26 +354,24 @@ def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str):
 
     For row i the kernel materializes the product of k matrix entries for
     every (p, q) with p a rearrangement of tuple i and q ANY ordered tuple
-    whose sorted form has rank >= i, then folds the q-axis by that rank.
-    Work and memory are exactly the upper-triangle double-sum terms.  Runs in
-    the dtype of ``a_mat``: int64, object or float64.
+    whose sorted form has rank >= i (the tuples from orbit(i) on), sums over
+    p and folds the q-axis by rank, so entry (i, j) adds its terms in the
+    order of orbit(j).  Work and memory are exactly the upper-triangle
+    double-sum terms.  Each row is written to both triangles, which share an
+    object core's ints.  Runs in the dtype of ``a_mat``: int64, object or
+    float64.
     """
-    dtype = a_mat.dtype
-    big = multiset_count(n, k)
     ordered, ranks, orbits = _ordered_table(n, k, order)
-    core = np.zeros((big, big), dtype=dtype)
-    for a in range(big):
-        orb = orbits[a]
-        cols = np.nonzero(ranks >= a)[0]
-        row_acc = np.zeros(big, dtype=dtype)
-        for start in range(0, len(cols), _ORBIT_CHUNK):
-            sel = cols[start : start + _ORBIT_CHUNK]
-            q_idx = ordered[sel]
-            terms = a_mat[orb[:, None, :], q_idx[None, :, :]]
-            sums = terms.prod(axis=2).sum(axis=0)
-            np.add.at(row_acc, ranks[sel], sums)
-        core[a, a:] = row_acc[a:]
-    core = core + np.triu(core, 1).T
+    big = len(orbits)
+    core = np.zeros((big, big), dtype=a_mat.dtype)
+    start = 0
+    for a, orb in enumerate(orbits):
+        row = np.zeros(big, dtype=a_mat.dtype)
+        for lo in range(start, len(ordered), _ORBIT_CHUNK):
+            terms = a_mat[orb[:, None, :], ordered[None, lo : lo + _ORBIT_CHUNK, :]]
+            np.add.at(row, ranks[lo : lo + _ORBIT_CHUNK], terms.prod(axis=2).sum(axis=0))
+        core[a, a:] = core[a:, a] = row[a:]
+        start += len(orb)
     return core
 
 
@@ -513,15 +500,15 @@ def _mirror_upper(core: np.ndarray) -> None:
         np.copyto(tile, tile.T, where=lower[: hi - lo, : hi - lo])
 
 
-def _core_bound(method: str, k: int, scaled: np.ndarray, d_max: int):
-    """Largest absolute value any intermediate of the core can reach, for
-    the matrix ``scaled`` held as Python ints or float64."""
-    magnitude = np.abs(scaled)
-    if method == "orbit":
-        # d_max^2 rearrangement pairs per entry, each a product of k weights
-        return d_max * d_max * (magnitude.max() or 1) ** k
-    # linear forms: a degree-d row's coefficients sum to at most r^d in absolute value
-    return d_max * magnitude.sum(axis=1).max() ** k
+def _core_bound(k: int, scaled: np.ndarray, d_max: int):
+    """D_max * r^k, r the largest absolute row sum of ``scaled`` (Python ints
+    or float64): no intermediate of either kernel is larger in absolute value.
+    A degree-d row of linear-form coefficients sums to at most r^d in
+    absolute value.  Every intermediate of the orbit kernel (a k-fold
+    product, a sum over p for one q, a partial sum of ``np.add.at``) is a
+    partial sum of S_ij's terms, so at most S_ij(|scaled|) =
+    D_i * coef_ij(|scaled|) <= D_max * r^k."""
+    return d_max * np.abs(scaled).sum(axis=1).max() ** k
 
 
 def _float_values(values: np.ndarray, denominator: int) -> np.ndarray:
@@ -720,7 +707,7 @@ def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method:
     else:
         a = dense_matrix(n, u, v, w, np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = _core_bound(method, k, a, max(sizes))
+        bound = _core_bound(k, a, max(sizes))
     path = ("int64" if bound < _INT64_SAFE else "object") if exact else "float64"
     return _Scaled(a.astype(path, copy=False), exact, path, denominator, tuples, sizes, bound)
 
@@ -728,12 +715,12 @@ def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method:
 def _object_bytes(s: _Scaled, n: int, k: int, method: str, whole: bool) -> int:
     """The most bytes a kernel holds at once on the object path, an entry
     priced as a pointer and an int of the bound's size: the orbit kernel's
-    core, its upper triangle, their sum and a chunk of k-fold products; the
-    linear-form kernel's lower degrees, temporaries and whole core, or else
-    its scratch block and the pairs that ``_edge_blocks`` joins."""
+    core and a chunk of k-fold products; the linear-form kernel's lower
+    degrees, temporaries and whole core, or else its scratch block and the
+    pairs that ``_edge_blocks`` joins."""
     entry, big = sys.getsizeof(s.bound) + 8, len(s.sizes)
     if method == "orbit":
-        return big * big * (2 * entry + 8) + max(s.sizes) * min(_ORBIT_CHUNK, n**k) * (8 * k + entry)
+        return big * big * entry + max(s.sizes) * min(_ORBIT_CHUNK, n**k) * (8 * k + entry)
     room = min(max(_BLOCK_ELEMS, big), big**2)  # as in _linear_form_blocks
     # a joined pair holds its value and, for exact output, a numerator as large
     last = big * big if whole else room + 2 * min(_SUPPORT_BLOCK, big * big)
@@ -775,9 +762,9 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
     no N x N core is held; ``"orbit"``, the reference, builds the whole core.
     Every refusal comes before this returns: those of ``sym_power``,
     ``exact`` on float input (before any kernel runs), and an entry past the
-    float64 range.  When the kernel's bound on every entry over L^k
-    (D_max * r^k / L^k for ``permanent``) cannot rule that out, the stream
-    runs twice: once to check, once to write.
+    float64 range.  When the kernels' bound on every entry over L^k,
+    D_max * r^k / L^k, cannot rule that out, the stream runs twice: once to
+    check, once to write.
     """
     s = _scaled(n, u, v, w, k, method, order)
     if exact and not s.exact:

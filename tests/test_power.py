@@ -481,9 +481,9 @@ def test_linear_form_cores_do_not_depend_on_the_block_size(monkeypatch, dtype):
             assert cores[0].tolist() == power._core_orbit_numpy(a, n, k, order).tolist()
 
 
-def _pinned_float_graph(seed):
+def _pinned_float_graph(seed, nmax=8, kmax=5):
     rng = random.Random(f"pinned float core {seed}")
-    n, k = rng.randint(5, 8), rng.randint(3, 5)
+    n, k = rng.randint(nmax - 3, nmax), rng.randint(kmax - 2, kmax)
     weights = {(u, v): rng.choice((-1, 1)) * rng.randint(1, 99) / 10 + rng.random() / 1000
                for u in range(1, n + 1) for v in range(u, n + 1) if rng.random() < 0.6}
     return WeightedGraph(n, weights), k, ("paper", "lex")[seed % 2]
@@ -503,6 +503,28 @@ def test_signed_float_cores_keep_their_bits(seed, digest):
 
     graph, k, order = _pinned_float_graph(seed)
     core = sym_power(graph, k, order=order).core
+    assert core.dtype == np.float64
+    assert hashlib.sha256(core.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "235cdce495f86e964e7f399ab5f438490ad59da545668a7f0cf1fecd72e2099f"),
+    (1, "e9681c24c8cf926e247a38b96059f4d2cf8174f89543971c4e065f7deea6ff1b"),
+    (2, "d0ec4bda2c0a35ebaa3bbc53bad07dcafe0caaf57eb03767185b27ffbeddc1af"),
+    (3, "2829c9cb7ff2400da689045c50b98723fd0072d245d99daeb758849bcd1b2317"),
+    (4, "478973f7bf0651ea6b2a4f72ba5bc99a0d4657465fd5f18636e0771e45710475"),
+    (5, "d66f55312656066f3972554d83cdf5436627cbf9c691d1a9ad7820cbe7c7019e"),
+    (6, "8dbe037eaaaac170e23f3df5f8de2486d9105430a685c37c0f65ab64628d0dd9"),
+    (7, "6bc1a8791e29c02b5d856138a45e055b42d0f432b523ded295c3e70f81869a46"),
+])
+def test_signed_float_orbit_cores_keep_their_bits(seed, digest):
+    # recorded from the orbit kernel that tabulated the ordered tuples in
+    # lexicographic order: each entry still adds the terms of orbit(j) in
+    # lexicographic order, so every rounding is the same; n <= 6, k <= 4
+    import hashlib
+
+    graph, k, order = _pinned_float_graph(seed, nmax=6, kmax=4)
+    core = sym_power(graph, k, method="orbit", order=order).core
     assert core.dtype == np.float64
     assert hashlib.sha256(core.tobytes()).hexdigest() == digest
 
@@ -605,10 +627,8 @@ def test_int64_object_switch_at_the_bound(over, path):
     reference = sym_power(g, k, method="orbit")
     assert max(fast.orbit_sizes) == d_max
     assert (d_max * r**k < 2**62) == (path == "int64")
-    assert fast.path == path
-    assert reference.path == "object"
-    if path == "object":
-        assert fast.core.dtype == reference.core.dtype
+    assert fast.path == reference.path == path
+    assert fast.core.dtype == reference.core.dtype
     assert np.array_equal(fast.core, reference.core)
     assert fast.denominator == reference.denominator == 1
     assert fast.core_entry(0, 0) == (r - 5) ** 3
@@ -950,3 +970,29 @@ def test_the_object_price_is_never_below_the_core_bytes(weight, density):
         scaled = _scaled(n, *edge_arrays(g), k, method, "paper")
         assert scaled.path == "object"
         assert _object_bytes(scaled, n, k, method, True) >= held, method
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("weight", [10**20, 10**300], ids=["1e20", "1e300"])
+def test_the_orbit_object_core_shares_its_ints_and_stays_within_its_price(weight, seed):
+    # each finished row is written to both triangles, so (i, j) and (j, i)
+    # are one int, and the kernel holds nothing beside its core and a chunk
+    import tracemalloc
+
+    from symgraph.power import _object_bytes, _ordered_table, _scaled
+
+    rng = random.Random(f"orbit object core {weight} {seed}")
+    n, k = 6, 4
+    g = WeightedGraph(n, {(a, b): rng.choice((-1, 1)) * rng.randint(1, 9) * weight
+                          for a in range(1, n + 1) for b in range(a, n + 1) if rng.random() < 0.4})
+    price = _object_bytes(_scaled(n, *edge_arrays(g), k, "orbit", "paper"), n, k, "orbit", True)
+    _ordered_table.cache_clear()  # the peak counts the table too, whatever ran before
+    tracemalloc.start()
+    try:
+        power = sym_power(g, k, method="orbit")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert power.path == "object"
+    assert all(power.core[i, j] is power.core[j, i] for i in range(power.dim) for j in range(i, power.dim))
+    assert peak <= price
