@@ -13,8 +13,9 @@ float; the types decide whether a power runs exact or in float64.
 Edge lists travel as arrays, a bounded block at a time in both directions,
 with no Python object per line or token.  The reader views each block of
 text as one code per character, finds tokens and lines from masks, and
-converts each distinct token once.  One writer, for graph files and DOT,
-gathers each block's bytes from a table of label and distinct weight texts.
+converts each distinct token once, into one weight column per block typed
+once.  One writer, for graph files and DOT, gathers each block's bytes from
+a table of label and distinct weight texts.
 :func:`parse_edges` (or :func:`read_edges`, from a handle) and
 :func:`write_edges` join the blocks into whole arrays (n, u, v, w) and text;
 ``symgraph power`` and ``dot`` stream their output, plain ``stats`` its input.
@@ -71,12 +72,8 @@ _ASCII_CODES = _CODE.tobytes()  # a bytes.translate table
 _LAST_BREAK = re.compile("(?s).*[" + "".join(map(chr, _BREAKS)) + "]")
 
 # characters parsed at a time: one block's arrays take a few MB whatever the
-# size of the file.  Plain stats keeps nothing of a block once it is counted
-# and parses half as much at a time: on the complete_loops 9 k=5 power its
-# peak fell from 41.3 to 36.6 MB at the same speed, while read_edges, which
-# keeps every block's arrays, ran about 7% slower at 2^17 (power -k 1)
-_BLOCK_CHARS = 1 << 18
-_STATS_BLOCK_CHARS = 1 << 17
+# size of the file
+_BLOCK_CHARS = 1 << 17
 _ROW_WIDTH = 32  # tokens up to this long are converted once per distinct token
 _TAIL = b" " * _ROW_WIDTH
 
@@ -275,10 +272,10 @@ def _edge_lines(n: int, block: str, codes: np.ndarray, lineno: np.ndarray, start
 
     ``lineno`` numbers each edge line in the file, ``first`` is the index of
     its first token in (``starts``, ``ends``), and ``fields`` counts its
-    tokens.  Returns the columns (lineno, a, b, floats, is_float, ints) of
-    the lines before the first bad one, with a <= b in the smallest int dtype
-    that holds n and ``ints`` each line's int weight (0 on float lines), and
-    (line number, message) of that bad line or None.
+    tokens.  Returns the columns (lineno, a, b, w) of the lines before the
+    first bad one, with a <= b in the smallest int dtype that holds n and w
+    typed by the block's nonzero weights as :func:`parse_edges` types a
+    file's, and (line number, message) of that bad line or None.
     """
     # The checks run in the order the format checks one line.  Each runs on
     # the lines before the first failure found so far and moves ``end`` back,
@@ -312,19 +309,22 @@ def _edge_lines(n: int, block: str, codes: np.ndarray, lineno: np.ndarray, start
         i = int(failed[0])
         end, token = int(three[i]), block[starts[at[weights.start + i]] : ends[at[weights.start + i]]]
         error = f"bad weight {token!r}" if w_kind[i] == _BAD else f"weight must be finite, got {token!r}"
-        three, w_kind, w_ints, w_values = three[:i], w_kind[:i], w_ints[:i], w_values[:i]
+        three, w_ints, w_values = three[:i], w_ints[:i], w_values[:i]
 
-    is_float = np.zeros(end, dtype=bool)
-    is_float[three] = w_kind == _FLOAT
-    floats = np.zeros(end, dtype=np.float64)
-    floats[three] = w_values
-    ints = np.ones(end, dtype=w_ints.dtype)  # the default weight, an int
-    ints[three] = w_ints
+    if len(three) == end and not w_ints.any():  # no nonzero int weight: a float token's int is 0
+        w = w_values
+    else:
+        w = np.ones(end, dtype=w_ints.dtype)  # the default weight, an int
+        w[three] = w_ints
+        (w,) = _narrow(w)
+        real = np.flatnonzero(w_values)  # the nonzero floats: an int token's float is 0.0
+        if len(real):
+            w = w.astype(object)
+            w[three[real]] = w_values[real]
     a, b = np.minimum(u[:end], v[:end]), np.maximum(u[:end], v[:end])
     label = np.min_scalar_type(-n - 1)
     a, b = _narrow(a, b) if label == object else (a.astype(label), b.astype(label))
-    columns = (lineno[:end], a, b, floats, is_float, *_narrow(ints))
-    return columns, ((int(lineno[end]), error) if error else None)
+    return (lineno[:end], a, b, w), ((int(lineno[end]), error) if error else None)
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,12 +390,11 @@ def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
 def _edge_blocks(chunks: Iterable[str]) -> Iterator:
     """Parse a graph file given as chunks of text, a block of lines at a time.
 
-    Yields the vertex count n, then per block the columns (u, v, floats,
-    is_float, ints) of its pairs with a nonzero weight: u <= v in the
-    smallest int dtype that holds n, and each pair's float or int weight, as
-    ``is_float`` says.  A :class:`GraphFormatError` names the first bad line
-    in file order; it is raised when its block arrives, or, for a pair listed
-    twice in a file whose pairs are not in increasing order, at its end.
+    Yields the vertex count n, then per block the columns (u, v, w) of its
+    pairs with a nonzero weight, as :func:`_edge_lines` makes them.  A
+    :class:`GraphFormatError` names the first bad line in file order; it is
+    raised when its block arrives, or, for a pair listed twice in a file
+    whose pairs are not in increasing order, at its end.
     """
     n: int | None = None
     seen = _PairKeys()
@@ -420,14 +419,13 @@ def _edge_blocks(chunks: Iterable[str]) -> Iterator:
             key = np.int64 if (n + 1) ** 2 < 2**63 else object
             line, first, fields = line[1:], first[1:], fields[1:]
         if n is not None:
-            (lineno, a, b, floats, is_float, ints), error = _edge_lines(
-                n, block, codes, base + line + 1, starts, ends, first, fields)
+            (lineno, a, b, w), error = _edge_lines(n, block, codes, base + line + 1, starts, ends, first, fields)
             seen.add(a.astype(key) * (n + 1) + b, lineno)
             if error is not None:
                 seen.check(n)  # a repeated pair comes before the bad line
                 raise GraphFormatError(error[1], error[0])
-            nonzero = np.where(is_float, floats != 0, ints != 0)
-            yield a[nonzero], b[nonzero], floats[nonzero], is_float[nonzero], ints[nonzero]
+            nonzero = w != 0
+            yield a[nonzero], b[nonzero], w[nonzero]
         base += breaks
     if n is None:
         raise GraphFormatError("empty input: missing vertex count")
@@ -440,8 +438,8 @@ def parse_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     ``u <= v`` are the 1-based ends of each pair with a nonzero weight, in
     file order.  ``w`` keeps each weight's token type: int64 when every
     weight is an int (``object`` past int64), float64 when every weight is a
-    float, and an ``object`` array of Python ints and floats when both occur.
-    A :class:`GraphFormatError` names the first bad line in file order.
+    float or there is none, and an ``object`` array of Python ints and floats
+    when both occur.  A :class:`GraphFormatError` names the first bad line.
     """
     return _joined(_edge_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS)))
 
@@ -453,15 +451,11 @@ def read_edges(handle: TextIO) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 def _joined(blocks: Iterator) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     n = next(blocks)
-    a, b, floats, is_float, ints = map(np.concatenate, zip(*blocks))
-    a, b = _narrow(a, b)
-    if is_float.all():
-        return n, a, b, floats
-    if not is_float.any():
-        return n, a, b, ints
-    w = floats.astype(object)
-    w[~is_float] = ints[~is_float]
-    return n, a, b, w
+    a, b, w = zip(*blocks)
+    w = [part for part in w if len(part)] or [np.empty(0)]
+    if len({part.dtype for part in w}) > 1:
+        w = [part.astype(object) for part in w]
+    return (n, *_narrow(np.concatenate(a), np.concatenate(b)), np.concatenate(w))
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -607,8 +601,8 @@ def stats_json_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, wiener
 
 
 def read_stats_json(handle: TextIO) -> str:
-    """The stats JSON of the graph file read from a text handle
-    ``_STATS_BLOCK_CHARS`` characters at a time, counted as blocks arrive."""
-    blocks = _edge_blocks(iter(lambda: handle.read(_STATS_BLOCK_CHARS), ""))
+    """The stats JSON of the graph file read from a text handle a block at
+    a time, counted as blocks arrive: no whole-file array is kept."""
+    blocks = _edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
     n = next(blocks)
     return _stats_json(analysis.support_stats_blocks(n, (part[:2] for part in blocks)))

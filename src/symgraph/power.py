@@ -838,6 +838,8 @@ def sym_power_permutation(sigma: Sequence[int], k: int, order: str = "paper") ->
     n = len(images)
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
+    big = multiset_count(n, k)
+    _check_budget(f"power dimension N={big} (n={n}, k={k})", dim=big)
     msets = enumerate_multisets(n, k, order)
     mapping = []
     for t in msets:

@@ -1,7 +1,7 @@
 """Eigenvalues of symmetric matrices and spectral checks for graph powers.
 
-Eigenvalues come from LAPACK's symmetric solver as numpy bundles it
-(``numpy.linalg.eigvalsh``), behind a symmetry check and the size budget.
+Eigenvalues come from ``numpy.linalg.eigvalsh`` (LAPACK's symmetric solver),
+behind the size budget and a symmetry check of any matrix passed in.
 Alongside it live the spectral predictors for powers: the product multiset,
 the complete homogeneous trace formula, and the determinant power law, plus an
 exact fraction-free determinant used as an independent oracle.
@@ -87,27 +87,26 @@ def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     _check_budget(f"matrix dimension {a.shape[0]}", a.shape[0])
-    return _halved_eigenvalues(a, np.empty(a.shape), tol)
+    return _halved_eigenvalues(a, tol)
 
 
 def eigenvalues_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Spectrum:
-    """:func:`eigenvalues_symmetric` of the n-vertex graph with weight w at
-    each 1-based pair (u, v), refused past the budget before the matrix is built."""
+    """The eigenvalues of the n-vertex graph with weight w at each 1-based
+    pair (u, v), refused past the budget before the matrix is built.  That
+    matrix is symmetric, so it is solved unhalved: no weight is rounded."""
     _check_budget(f"matrix dimension {n}", n)
-    a = dense_matrix(n, u, v, w, np.float64)
-    return _halved_eigenvalues(a, a, DEFAULT_TOL)  # nothing else holds a, so its halves overwrite it
+    return _solved(dense_matrix(n, u, v, w, np.float64), DEFAULT_TOL)
 
 
-def _halved_eigenvalues(a: np.ndarray, out: np.ndarray, tol: float) -> Spectrum:
-    """Check that the square ``a`` is symmetric, write a / 2 + a.T / 2 into
-    ``out`` (which may be ``a`` itself) and solve it.
+def _halved_eigenvalues(a: np.ndarray, tol: float) -> Spectrum:
+    """Check that the square ``a`` is symmetric and solve a / 2 + a.T / 2.
 
     Row blocks of about _CHECK_BLOCK entries read the upper triangle of ``a``
     and its transpose, so no temporary grows with the matrix; the lower
-    triangle of ``out`` copies its upper one, which floating-point addition,
-    being commutative, makes bit-equal to the halves computed there.
+    triangle of the halves copies its upper one, which floating-point
+    addition, being commutative, makes bit-equal to the halves computed there.
     """
-    size = len(a)
+    size, out = len(a), np.empty(a.shape)
     step = max(1, _CHECK_BLOCK // max(size, 1))
     magnitudes, asymmetries = [], []
     for lo in range(0, size, step):
@@ -122,8 +121,12 @@ def _halved_eigenvalues(a: np.ndarray, out: np.ndarray, tol: float) -> Spectrum:
     asym = float(np.max(asymmetries))
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
+    return _solved(out, tol)
+
+
+def _solved(a: np.ndarray, tol: float) -> Spectrum:
     try:
-        values = np.linalg.eigvalsh(out)
+        values = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise JacobiConvergenceError(f"eigenvalue solver failed: {exc}") from exc
     return Spectrum(tuple(values.tolist()), tol)

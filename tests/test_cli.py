@@ -429,6 +429,19 @@ def test_an_int_weight_past_the_float_range_exits_2_with_one_error_line(capsys, 
     assert (code, out, err) == (2, "", "error: a weight is past the float64 range\n")
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["stats", "--spectrum"]], ids=" ".join)
+def test_a_weight_below_the_halving_range_keeps_its_eigenvalues(capsys, monkeypatch, argv):
+    # a / 2 + a.T / 2 would round 5e-324 to 0: the matrix built from a file
+    # is symmetric, so the solver gets it as it is
+    import numpy as np
+
+    code, out, _ = run_cli(capsys, argv, stdin="2\n1 2 5e-324\n", monkeypatch=monkeypatch)
+    want = np.linalg.eigvalsh(np.array([[0.0, 5e-324], [5e-324, 0.0]])).tolist()
+    assert want == [-5e-324, 5e-324]
+    values = [float(x) for x in out.split()] if argv == ["spectrum"] else json.loads(out)["spectrum"]
+    assert (code, values) == (0, want)
+
+
 def test_verify_status_line_reports_seconds(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "permutation", "--nmax", "3", "--kmax", "2"])
     assert code == 0
@@ -454,7 +467,6 @@ def _block_sizes(monkeypatch, size):
 
     if size is not None:
         monkeypatch.setattr(symgraph.fileio, "_BLOCK_CHARS", size)
-        monkeypatch.setattr(symgraph.fileio, "_STATS_BLOCK_CHARS", size)
         monkeypatch.setattr(symgraph.fileio, "_WRITE_LINES", size)
         monkeypatch.setattr(symgraph.power, "_SUPPORT_BLOCK", size)
 

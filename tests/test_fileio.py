@@ -104,7 +104,9 @@ def test_parse_dtypes_when_a_label_or_a_weight_passes_int64():
 def _reference_parse(text):
     """The format read one line at a time, checks in the format's order: an
     independent reading of the rules.  Returns ("error", line, message part)
-    for the first bad line, else ("ok", n, [(u, v, w) with u <= v, w != 0])."""
+    for the first bad line, else ("ok", n, [(u, v, w) with u <= v, w != 0],
+    the dtype of w): float64 when no weight is kept or every kept one is a
+    float, int64 when none is and every int fits int64, else object."""
     n = None
     seen = set()
     records = []
@@ -140,7 +142,14 @@ def _reference_parse(text):
         seen.add(key)
         if w != 0:
             records.append((*key, w))
-    return "ok", n, records
+    weights = [w for _, _, w in records]
+    if all(type(w) is float for w in weights):
+        dtype = np.dtype(np.float64)
+    elif not any(type(w) is float for w in weights) and all(-(2**63) <= w < 2**63 for w in weights):
+        dtype = np.dtype(np.int64)
+    else:
+        dtype = np.dtype(object)
+    return "ok", n, records, dtype
 
 
 def _parsed(text):
@@ -148,7 +157,7 @@ def _parsed(text):
         n, u, v, w = parse_edges(text)
     except GraphFormatError as exc:
         return "error", exc.line, str(exc)
-    return "ok", n, list(zip(u.tolist(), v.tolist(), w.tolist()))
+    return "ok", n, list(zip(u.tolist(), v.tolist(), w.tolist())), w.dtype
 
 
 def _agrees(got, want):
@@ -171,14 +180,14 @@ def test_parse_reports_the_first_bad_line():
 
 
 GOOD_LINES = ["1 2", "2 1 3", "3 3 0.5", "1 4 -2", "2 4 0", "4 4 1e-3", "3 4 +7", "1 3 2_0",
-              "1 1 -0.0", "2 3 ٣", "1 2 5 # trailing"]
+              "1 1 -0.0", "2 3 ٣", "1 2 5 # trailing", f"2 2 {2**63}"]
 NOISE = ["", "   ", "# comment", "\t# tab comment"]
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, None])
 def test_parse_matches_a_line_by_line_reading_in_any_block_size(monkeypatch, block):
     # block boundaries must change nothing: not the values, their types, the
-    # duplicate check across blocks nor the line an error names
+    # dtype of w, the duplicate check across blocks nor the line an error names
     from symgraph import fileio
 
     if block is not None:
@@ -289,7 +298,7 @@ def test_parse_keeps_values_when_every_token_hash_collides(monkeypatch):
     monkeypatch.setattr(fileio, "_HASH_MIX", np.zeros_like(fileio._HASH_MIX))
     assert _parsed(text) == want
     assert want == ("ok", 5, [(1, 2, 0.5), (2, 3, 0.25), (3, 4, 0.5), (4, 5, -3), (5, 5, 100.0),
-                              (1, 1, 7), (1, 3, 0.25), (2, 2, -3)])
+                              (1, 1, 7), (1, 3, 0.25), (2, 2, -3)], object)
 
 
 def test_parse_converts_each_distinct_token_once(monkeypatch):

@@ -824,6 +824,20 @@ def test_permutation_validation():
         sym_power_permutation([1, 2], 0)
 
 
+def test_permutation_power_past_the_budget_refuses_before_listing_tuples(monkeypatch):
+    import symgraph.power
+
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "10")
+    assert sym_power_permutation([2, 3, 4, 1], 2).dim == 10
+
+    def listed(*args):
+        raise AssertionError("tuples listed past the budget")
+
+    monkeypatch.setattr(symgraph.power, "enumerate_multisets", listed)
+    with pytest.raises(SizeBudgetError, match=r"power dimension N=15 \(n=5, k=2\) exceeds the budget 10"):
+        sym_power_permutation([2, 3, 4, 5, 1], 2)
+
+
 def test_relabel_basics():
     g = path(3)
     assert relabel(g, [1, 2, 3]) == g
