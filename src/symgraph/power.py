@@ -620,8 +620,9 @@ class SymPowerMatrix:
         return x if self.denominator == 1 else Fraction(x, self.denominator)
 
     def entry(self, i: int, j: int) -> float:
+        """``to_dense()[i, j]``, bit for bit, without building the matrix."""
         d = self.orbit_sizes[i] * self.orbit_sizes[j]
-        return float(self.core_entry(i, j)) / math.sqrt(d)
+        return float(_float_values(self.core[i, j : j + 1], self.denominator)[0]) / math.sqrt(d)
 
     def entry_exact(self, i: int, j: int) -> ExactWeight:
         if not self.exact:

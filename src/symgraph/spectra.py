@@ -23,9 +23,6 @@ from .power import _check_budget
 
 DEFAULT_TOL = 1e-8
 
-# matrix entries read at a time by the symmetry check and the halving before eigvalsh
-_CHECK_BLOCK = 1 << 16
-
 
 class JacobiConvergenceError(RuntimeError):
     """The eigensolver did not converge (LAPACK raised ``LinAlgError``)."""
@@ -79,49 +76,37 @@ class SignLogDet(NamedTuple):
 def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     """All eigenvalues of a dense symmetric matrix, by ``numpy.linalg.eigvalsh``.
 
-    The input must be symmetric entrywise to about 1e-12 (relative to its
-    largest entry).  A solver that fails to converge raises
+    The entries must be finite, with |a_ij - a_ji| <= 1e-12 * max(1, max |a_ij|);
+    such a matrix is solved as (A + A^T) / 2, which is A itself wherever A
+    is symmetric.  A solver that fails to converge raises
     :class:`JacobiConvergenceError` rather than returning garbage.
     """
     a = np.asarray(matrix, dtype=np.float64)  # a float64 array is read, not copied
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     _check_budget(f"matrix dimension {a.shape[0]}", a.shape[0])
-    return _halved_eigenvalues(a, tol)
+    if a.size == 0:
+        return Spectrum((), tol)
+    top, bottom = a.max(), a.min()  # nan and +-inf reach one of them
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ValueError("matrix entries must be finite")
+    with np.errstate(over="ignore"):  # a gap past the float64 range is inf, and refused
+        gap = a.T - a
+    asym = max(gap.max(), -gap.min())
+    if asym > 1e-12 * max(1.0, top, -bottom):
+        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
+    # A + (A^T - A) / 2: A's own bits where it is symmetric, and no overflow near the limit
+    gap /= 2
+    gap += a
+    return _solved(gap, tol)
 
 
 def eigenvalues_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Spectrum:
     """The eigenvalues of the n-vertex graph with weight w at each 1-based
     pair (u, v), refused past the budget before the matrix is built.  That
-    matrix is symmetric, so it is solved unhalved: no weight is rounded."""
+    matrix is symmetric as built, so eigvalsh solves it as it is."""
     _check_budget(f"matrix dimension {n}", n)
     return _solved(dense_matrix(n, u, v, w, np.float64), DEFAULT_TOL)
-
-
-def _halved_eigenvalues(a: np.ndarray, tol: float) -> Spectrum:
-    """Check that the square ``a`` is symmetric and solve a / 2 + a.T / 2.
-
-    Row blocks of about _CHECK_BLOCK entries read the upper triangle of ``a``
-    and its transpose, so no temporary grows with the matrix; the lower
-    triangle of the halves copies its upper one, which floating-point
-    addition, being commutative, makes bit-equal to the halves computed there.
-    """
-    size, out = len(a), np.empty(a.shape)
-    step = max(1, _CHECK_BLOCK // max(size, 1))
-    magnitudes, asymmetries = [], []
-    for lo in range(0, size, step):
-        rows, cols = a[lo : lo + step, lo:], a[lo:, lo : lo + step].T
-        magnitudes += [np.abs(rows).max(), np.abs(cols).max()]
-        asymmetries.append(np.abs(rows - cols).max())
-        # halving each side first: a + a.T overflows near the float64 limit
-        halves = rows / 2 + cols / 2
-        out[lo : lo + step, :lo] = out[:lo, lo : lo + step].T
-        out[lo : lo + step, lo:] = halves
-    scale = max(1.0, float(np.max(magnitudes)))
-    asym = float(np.max(asymmetries))
-    if asym > 1e-12 * scale:
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
-    return _solved(out, tol)
 
 
 def _solved(a: np.ndarray, tol: float) -> Spectrum:

@@ -712,6 +712,34 @@ def test_to_dense_divides_the_core_exactly(big, path):
             assert dense[i, j] == float(power.core_entry(i, j)) / math.sqrt(d)
 
 
+def test_entry_is_the_dense_entry_bit_for_bit():
+    rng = random.Random(47)
+    weights = (  # int64, object, float and Fraction cores
+        lambda: rng.choice((-1, 1)) * rng.randint(1, 9),
+        lambda: rng.choice((-1, 1)) * rng.randint(1, 9) * 10**9,
+        lambda: rng.uniform(-2, 2),
+        lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((3, 7, 457, 461))),
+    )
+    cores = set()
+    for weight in weights:
+        for _ in range(6):
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            g = WeightedGraph(n, {(u, v): weight() for u in range(1, n + 1) for v in range(u, n + 1)
+                                  if rng.random() < 0.6} or {(1, 1): weight()})
+            power = sym_power(g, k)
+            cores.add((power.path, power.denominator > 1))
+            entries = [[power.entry(i, j) for j in range(power.dim)] for i in range(power.dim)]
+            assert np.array(entries).tobytes() == power.to_dense().tobytes()
+    assert {("int64", False), ("object", False), ("float64", False), ("int64", True)} <= cores
+    # an entry past the float64 range is refused as to_dense refuses it
+    power = sym_power(WeightedGraph(2, {(1, 2): Fraction(10**200, 3), (1, 1): 1}), 2)
+    with pytest.raises(ValueError) as dense_error:
+        power.to_dense()
+    with pytest.raises(ValueError) as entry_error:
+        power.entry(2, 2)
+    assert str(entry_error.value) == str(dense_error.value)
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         sym_power(path(2), 0)

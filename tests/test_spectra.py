@@ -55,27 +55,58 @@ def test_eigenvalues_rejects_asymmetric():
         eigenvalues_symmetric([[0.0, 1.0], [2.0, 0.0]])
 
 
-@pytest.mark.parametrize("block", [1, 7, 1 << 16])
-def test_the_solver_gets_the_halved_matrix_in_any_block_size(monkeypatch, block):
-    # the blocked check and halving hand eigvalsh the bits of a / 2 + a.T / 2
-    # and leave the caller's matrix as it was
+@pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+def test_eigenvalues_of_subnormal_entries(tiny):
+    # halving each entry first rounded these to 0.0 and gave (0.0, 0.0)
+    a = np.array([[0.0, tiny], [tiny, 0.0]])
+    assert eigenvalues_symmetric(a).values == tuple(np.linalg.eigvalsh(a).tolist()) == (-tiny, tiny)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_refused_before_the_solver(monkeypatch, bad):
+    def solver(m):
+        raise AssertionError("eigvalsh was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", solver)
+    for a in ([[bad, 0.0], [0.0, 1.0]], [[0.0, bad], [bad, 1.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_symmetric(a)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_asymmetry_past_the_float64_range_is_refused_without_a_warning():
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigenvalues_symmetric([[0.0, 1e308], [-1e308, 0.0]])
+
+
+def test_eigenvalues_of_the_empty_matrix():
+    assert eigenvalues_symmetric(np.zeros((0, 0))).values == ()
+
+
+def test_the_solver_gets_the_halved_matrix(monkeypatch):
+    # eigvalsh gets the bits of a + (a.T - a) / 2, which are a's own when a is
+    # symmetric, and the caller's matrix is left as it was
     from symgraph import spectra
 
-    monkeypatch.setattr(spectra, "_CHECK_BLOCK", block)
     solved = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m.copy()) or eigvalsh(m))
     rng = np.random.default_rng(29)
     for size in (1, 2, 5, 13):
         a = rng.normal(size=(size, size)) * 10.0 ** rng.integers(-300, 300, size=(size, size))
-        a[np.tril_indices(size, -1)] = a.T[np.tril_indices(size, -1)] * (1 + 1e-15)  # symmetric to the tolerance
+        a = np.triu(a) + np.triu(a, 1).T
+        before = a.copy()
+        eigenvalues_symmetric(a)
+        assert np.array_equal(a, before)
+        assert solved.pop().tobytes() == a.tobytes()
+        a[np.tril_indices(size, -1)] *= 1 + 1e-15  # symmetric to the tolerance
         before = a.copy()
         spec = eigenvalues_symmetric(a)
         assert np.array_equal(a, before)
-        want = a / 2 + a.T / 2
+        want = a + (a.T - a) / 2
         assert solved.pop().tobytes() == want.tobytes()
         assert spec.values == tuple(sorted(eigvalsh(want).tolist()))
-        # an asymmetric pair in the last row is found in any block
+        # an asymmetric pair in the last row is refused
         if size > 1:
             a[-1, 0] += np.abs(a).max()
             with pytest.raises(ValueError, match="not symmetric"):
