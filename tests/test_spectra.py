@@ -83,16 +83,18 @@ def test_eigenvalues_of_the_empty_matrix():
     assert eigenvalues_symmetric(np.zeros((0, 0))).values == ()
 
 
-def test_the_solver_gets_the_halved_matrix(monkeypatch):
+@pytest.mark.parametrize("entries", [1, 7, 1 << 16])
+def test_the_solver_gets_the_halved_matrix_in_any_block_size(monkeypatch, entries):
     # eigvalsh gets the bits of a + (a.T - a) / 2, which are a's own when a is
-    # symmetric, and the caller's matrix is left as it was
+    # symmetric, and the caller's matrix is left as it was; the last size holds
+    # just over `entries` entries, so a matrix past any one block is covered
     from symgraph import spectra
 
     solved = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m.copy()) or eigvalsh(m))
     rng = np.random.default_rng(29)
-    for size in (1, 2, 5, 13):
+    for size in (1, 2, 5, 13, math.isqrt(entries) + 1):
         a = rng.normal(size=(size, size)) * 10.0 ** rng.integers(-300, 300, size=(size, size))
         a = np.triu(a) + np.triu(a, 1).T
         before = a.copy()
