@@ -62,16 +62,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import (
-    COUNT_LIMIT,
-    VertexMultiset,
-    _sorted_tuples,
-    enumerate_multisets,
-    enumerate_orbit,
-    multiset_count,
-    orbit_size,
-    rank,
-)
+from .combinatorics import COUNT_LIMIT, VertexMultiset, _sorted_tuples, enumerate_orbit, multiset_count, orbit_size
 from .exact import ExactWeight
 from .graphs import WeightedGraph, all_rational, dense_matrix, edge_arrays, square_rows
 
@@ -150,15 +141,12 @@ def _ranks(t: np.ndarray, n: int, order: str) -> np.ndarray:
     return np.where(first == t[:, -1], first, n - 1 + lex - first)
 
 
-def _index_data(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Sorted tuples in the given order and their orbit sizes."""
-    return _index_tables(n, k, order)[:2]
-
-
 @lru_cache(maxsize=64)
 def _index_tables(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], np.ndarray]:
-    """The tuples and orbit sizes of ``_index_data``, and the tuples as an
-    (N, k) array of 0-based vertices."""
+    """The sorted tuples of ``enumerate_multisets(n, k, order)``, their orbit
+    sizes, and the tuples as an (N, k) array of 0-based vertices.  A size may
+    pass ``COUNT_LIMIT``: the power refuses it (``_scaled``), while a
+    permutation power reads the tuples alone."""
     tuples = _sorted_tuples(n, k, order)
     table = np.fromiter(chain.from_iterable(tuples), dtype=np.intp, count=len(tuples) * k).reshape(-1, k) - 1
     # k! / prod(m_v!) as a product over positions: position p brings a factor
@@ -171,9 +159,6 @@ def _index_tables(n: int, k: int, order: str) -> tuple[tuple[tuple[int, ...], ..
     for p in range(1, k):
         run = np.where(table[:, p] == table[:, p - 1], run + 1, 1).astype(dtype)
         sizes = sizes * (p + 1) // run
-    if dtype is object and (sizes >= COUNT_LIMIT).any():
-        first = next(i for i, size in enumerate(sizes) if size >= COUNT_LIMIT)
-        orbit_size(VertexMultiset(tuples[first], n).multiplicity())  # raises CountLimitError
     return tuple(tuples), tuple(sizes.tolist()), table
 
 
@@ -182,7 +167,7 @@ def _ordered_table(n: int, k: int, order: str) -> tuple[np.ndarray, np.ndarray, 
     """All n^k ordered tuples (0-based), the rank of each tuple's sorted form,
     and the orbit of each rank, a (D_i, k) view of the tuples: the tuples
     are the orbits of ``enumerate_orbit`` back to back in rank order."""
-    tuples, sizes = _index_data(n, k, order)
+    tuples, sizes, _ = _index_tables(n, k, order)
     listed = chain.from_iterable(enumerate_orbit(VertexMultiset(t, n)) for t in tuples)
     ordered = np.fromiter(chain.from_iterable(listed), dtype=np.int64, count=n**k * k).reshape(-1, k) - 1
     ranks = np.repeat(np.arange(len(tuples)), sizes)
@@ -194,27 +179,29 @@ def _linear_form_tables(n: int, d: int, order: str) -> tuple[np.ndarray, ...]:
     """Index arrays (parent, last, pred, vert) of the linear-form kernel at degree d >= 2.
 
     Rows and monomials of degree d are both ranked as the sorted d-tuples of
-    ``_index_data(n, d, order)``.  Row r extends row ``parent[r]`` of degree
+    ``_index_tables(n, d, order)``.  Row r extends row ``parent[r]`` of degree
     d-1 by the 0-based vertex ``last[r]``.  Monomial j is x_u times the
     degree-(d-1) monomial ``pred[s, j]`` for its s-th distinct vertex
     u = ``vert[s, j]``, in ascending u; its slots past its distinct vertices
-    hold the sentinels N_{d-1} and n, a zero column of each operand.
+    hold the sentinels N_{d-1} and n, a zero column of each operand.  One
+    ``_ranks`` call ranks every removal of a distinct vertex from every row.
     """
     t = _index_tables(n, d, order)[2]
-    big = len(t)
-    parent = _ranks(t[:, :-1], n, order)
-    last = t[:, -1]
     # a run's first position stands for its vertex: removing any copy gives the same tuple
     starts = np.ones(t.shape, dtype=bool)
     starts[:, 1:] = t[:, 1:] != t[:, :-1]
+    counts = np.cumsum(starts, axis=1)
     rows, pos = np.nonzero(starts)  # row by row, positions ascending
-    slot = np.cumsum(starts, axis=1)[rows, pos] - 1
-    removed = np.stack([_ranks(np.delete(t, p, axis=1), n, order) for p in range(d)], axis=1)
-    pred = np.full((min(d, n), big), multiset_count(n, d - 1), dtype=np.intp)
-    vert = np.full((min(d, n), big), n, dtype=np.intp)
-    pred[slot, rows] = removed[rows, pos]
+    slot = counts[rows, pos] - 1
+    rest = np.arange(d - 1)
+    removed = _ranks(t[rows[:, None], rest + (rest >= pos[:, None])], n, order)
+    # a row's last removal takes a copy of its last vertex, which leaves the row it extends
+    parent = removed[np.cumsum(counts[:, -1]) - 1]
+    pred = np.full((min(d, n), len(t)), multiset_count(n, d - 1), dtype=np.intp)
+    vert = np.full((min(d, n), len(t)), n, dtype=np.intp)
+    pred[slot, rows] = removed
     vert[slot, rows] = t[rows, pos]
-    return parent, last, pred, vert
+    return parent, t[:, -1], pred, vert
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +414,13 @@ def _linear_form_blocks(a: np.ndarray, n: int, k: int, order: str,
     handed to ``whole``, and every block is a view of it.
     """
     upper = _is_symmetric(a)
-    # a with a zero column: the degree-1 coefficients, and the weights of every degree
-    coef = np.zeros((n, n + 1), dtype=a.dtype)
-    coef[:, :n] = a
+    coef = a  # at k = 1 the blocks read a itself
+    if k > 1:
+        # a with a zero column: the degree-1 coefficients, and the weights of every degree
+        coef = np.zeros((n, n + 1), dtype=a.dtype)
+        coef[:, :n] = a
     weights = coef
-    sizes = np.array(_index_data(n, k, order)[1], dtype=a.dtype)[:, None]
+    sizes = np.array(_index_tables(n, k, order)[1], dtype=a.dtype)[:, None]
     big = len(sizes)
     # the update's temporaries: a row block of _BLOCK_ELEMS entries, or one
     # row, and never more than the whole last degree
@@ -500,15 +489,20 @@ def _mirror_upper(core: np.ndarray) -> None:
         np.copyto(tile, tile.T, where=lower[: hi - lo, : hi - lo])
 
 
-def _core_bound(k: int, scaled: np.ndarray, d_max: int):
-    """D_max * r^k, r the largest absolute row sum of ``scaled`` (Python ints
-    or float64): no intermediate of either kernel is larger in absolute value.
+def _core_bound(k: int, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, d_max: int):
+    """D_max * r^k, r the largest absolute row sum of the scaled n x n matrix
+    with w (Python ints or float64) at each 1-based (u, v) and (v, u): each
+    |w| is added to both ends of its pair, a loop's once, so no n x n array
+    is read.  No intermediate of either kernel is larger in absolute value.
     A degree-d row of linear-form coefficients sums to at most r^d in
     absolute value.  Every intermediate of the orbit kernel (a k-fold
     product, a sum over p for one q, a partial sum of ``np.add.at``) is a
     partial sum of S_ij's terms, so at most S_ij(|scaled|) =
     D_i * coef_ij(|scaled|) <= D_max * r^k."""
-    return d_max * np.abs(scaled).sum(axis=1).max() ** k
+    sums, size = np.zeros(n, dtype=w.dtype), np.abs(w)
+    np.add.at(sums, u - 1, size)
+    np.add.at(sums, v[u != v] - 1, size[u != v])
+    return d_max * sums.max() ** k
 
 
 def _float_values(values: np.ndarray, denominator: int) -> np.ndarray:
@@ -679,13 +673,14 @@ class _Scaled(NamedTuple):
     denominator: int  # L^k
     tuples: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
-    bound: object  # _core_bound of a: a Python int, or a float64 on the float path
+    bound: object  # _core_bound of the scaled weights: a Python int, or a float64 on the float path
 
 
 def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str, order: str) -> _Scaled:
-    """Check the arguments, N and the orbit table cap, choose the exact or float
-    path, scale rational weights to integers by their common denominator L,
-    and keep the bound on every intermediate, which picks int64 or Python ints."""
+    """Check the arguments, N, the orbit table cap and the orbit sizes' count
+    limit, choose the exact or float path, scale rational weights to integers
+    by their common denominator L, take the bound on every intermediate from
+    the pairs, and scatter the weights once into the dtype it picks."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if k < 1:
@@ -697,20 +692,23 @@ def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method:
             f"the orbit kernel tabulates n^k = {n**k} ordered tuples (n={n}, k={k}), "
             f"more than its cap {_ORDERED_TABLE_CAP}; use the permanent kernel"
         )
-    tuples, sizes = _index_data(n, k, order)
+    tuples, sizes, _ = _index_tables(n, k, order)
+    d_max = max(sizes)
+    if d_max >= COUNT_LIMIT:
+        first = next(t for t, size in zip(tuples, sizes) if size >= COUNT_LIMIT)
+        orbit_size(VertexMultiset(first, n).multiplicity())  # raises CountLimitError
     exact = all_rational(map(w.item, range(len(w))))  # Python numbers, read lazily
-    denominator = 1
-    if exact:
-        w = w.astype(object)  # Python ints and Fractions: the scaling below must not wrap in int64
-        scale = math.lcm(*(x.denominator for x in w))
-        denominator = scale**k
-        a = dense_matrix(n, u, v, w * scale // 1, object)  # Fraction // 1 is an int
-    else:
+    if not exact:
         a = dense_matrix(n, u, v, w, np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = _core_bound(k, a, max(sizes))
-    path = ("int64" if bound < _INT64_SAFE else "object") if exact else "float64"
-    return _Scaled(a.astype(path, copy=False), exact, path, denominator, tuples, sizes, bound)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _core_bound(k, n, u, v, a[u - 1, v - 1], d_max)
+        return _Scaled(a, False, "float64", 1, tuples, sizes, bound)
+    w = w.astype(object)  # Python ints and Fractions: the scaling below must not wrap in int64
+    scale = math.lcm(*(x.denominator for x in w))
+    w = w * scale // 1  # Fraction // 1 is an int
+    bound = _core_bound(k, n, u, v, w, d_max)
+    path = "int64" if bound < _INT64_SAFE else "object"
+    return _Scaled(dense_matrix(n, u, v, w, path), True, path, scale**k, tuples, sizes, bound)
 
 
 def _object_bytes(s: _Scaled, n: int, k: int, method: str, whole: bool) -> int:
@@ -841,12 +839,10 @@ def sym_power_permutation(sigma: Sequence[int], k: int, order: str = "paper") ->
         raise ValueError(f"power exponent must be >= 1, got {k}")
     big = multiset_count(n, k)
     _check_budget(f"power dimension N={big} (n={n}, k={k})", dim=big)
-    msets = enumerate_multisets(n, k, order)
-    mapping = []
-    for t in msets:
-        image = VertexMultiset(tuple(sorted(images[e - 1] for e in t.entries)), n)
-        mapping.append(rank(image, order))
-    return SymPermutation(n=n, k=k, order=order, mapping=tuple(mapping))
+    # the stable kind is the int sort that np.unique already runs; the default
+    # kind would page in about 0.25 MB more of numpy's code
+    image = np.sort(np.subtract(images, 1)[_index_tables(n, k, order)[2]], axis=1, kind="stable")
+    return SymPermutation(n=n, k=k, order=order, mapping=tuple(_ranks(image, n, order).tolist()))
 
 
 def permutation_matrix(sigma: Sequence[int]) -> list[list[int]]:

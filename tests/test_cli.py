@@ -708,6 +708,21 @@ def test_commands_reading_a_dense_power_run_in_bounded_memory(tmp_path):
     assert all(mb <= bare + 60 for mb in peaks.values()), (bare, peaks)
 
 
+def test_first_power_of_a_long_path_holds_one_n_by_n_matrix(tmp_path):
+    # power -k 1 of family path 5000 (a 57,782-byte file) takes its int64
+    # bound from the pairs and scatters the weights once, into the kernel's
+    # n x n int64 matrix (200 MB); each process may peak at most 230 MB above
+    # a bare import of the CLI, which leaves no room for a second such matrix
+    import os
+
+    source = tmp_path / "path.txt"
+    assert main(["family", "path", "5000", "-o", str(source)]) == 0
+    shim = "import sys; from symgraph.cli import main; sys.exit(main())"
+    bare = _peak_mb(["import symgraph.cli"])
+    peaks = [_peak_mb([shim, "power", "-k", "1", *flags, "-o", os.devnull, str(source)]) for flags in ([], ["--exact"])]
+    assert max(peaks) <= bare + 230, (bare, peaks)
+
+
 def _signed_loops_text(n=10, seed=14):
     """A seeded n-vertex graph file with a loop at every vertex and about half
     of the other pairs, each weighted by a signed multiple of 70,001, at most

@@ -190,13 +190,13 @@ def test_entry_oracle_bodies_on_a_matrix_read_once_equal_the_public_oracles():
 def test_ordered_table_orbits_follow_enumerate_orbit():
     # the float orbit core sums each orbit in this order, so its bits depend on it
     from symgraph.combinatorics import enumerate_orbit
-    from symgraph.power import _index_data, _ordered_table
+    from symgraph.power import _index_tables, _ordered_table
 
     for n in range(1, 6):
         for k in range(1, 5):
             for order in ("paper", "lex"):
                 _, _, orbits = _ordered_table(n, k, order)
-                tuples = _index_data(n, k, order)[0]
+                tuples = _index_tables(n, k, order)[0]
                 assert len(orbits) == len(tuples)
                 for t, orbit in zip(tuples, orbits):
                     assert (orbit + 1).tolist() == list(map(list, enumerate_orbit(VertexMultiset(t, n))))
@@ -373,7 +373,7 @@ def test_functoriality_of_the_linear_form_core():
     # Sym^k(AB) = Sym^k(A) Sym^k(B) (Bhatia, Matrix Analysis, I.5); with
     # S = diag(D) C in factored form this is S_AB = S_A (S_B / D) exactly.
     # The matrices are not symmetric: the kernel takes them as they are.
-    from symgraph.power import _core_linear_forms, _index_data
+    from symgraph.power import _core_linear_forms, _index_tables
 
     rng = random.Random(2309)
     cases = 0
@@ -382,7 +382,7 @@ def test_functoriality_of_the_linear_form_core():
             for _ in range(3):
                 a = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], dtype=object)
                 b = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], dtype=object)
-                d = np.array(_index_data(n, k, "paper")[1], dtype=object)
+                d = np.array(_index_tables(n, k, "paper")[1], dtype=object)
                 s_a = _core_linear_forms(a, n, k, "paper")
                 s_b = _core_linear_forms(b, n, k, "paper")
                 s_ab = _core_linear_forms(a.dot(b), n, k, "paper")
@@ -394,16 +394,23 @@ def test_functoriality_of_the_linear_form_core():
 
 
 def test_index_tables_match_the_rank_oracle():
-    # the numpy-built tables against enumerate_multisets, rank and orbit_size
-    from symgraph.power import _index_data, _linear_form_tables
+    # the numpy-built tables against enumerate_multisets, rank and orbit_size,
+    # and the permutation powers ranked from them against rank of each image
+    from symgraph.power import _index_tables, _linear_form_tables
 
+    rng = random.Random(2213)
     for n in range(1, 8):
         for k in range(1, 7):
             for order in ("paper", "lex"):
                 msets = enumerate_multisets(n, k, order)
-                tuples, sizes = _index_data(n, k, order)
+                tuples, sizes, _ = _index_tables(n, k, order)
                 assert tuples == tuple(t.entries for t in msets)
                 assert sizes == tuple(orbit_size(t.multiplicity()) for t in msets)
+                sigma = rng.sample(range(1, n + 1), n)
+                mapping = sym_power_permutation(sigma, k, order).mapping
+                for x, t in enumerate(msets):
+                    image = VertexMultiset(tuple(sorted(sigma[e - 1] for e in t.entries)), n)
+                    assert mapping[x] == rank(image, order)
                 if k == 1:
                     continue
                 parent, last, pred, vert = _linear_form_tables(n, k, order)
@@ -436,15 +443,19 @@ def _first_orbit_past_the_limit(n, k, order):
 def test_orbit_sizes_past_the_count_limit_refuse_as_orbit_size_does():
     # C(66, 33) < 2^63 <= C(67, 30): from k = 67 two vertices have orbits past the limit
     from symgraph.combinatorics import CountLimitError
-    from symgraph.power import _index_data
+    from symgraph.power import _index_tables
 
     assert _first_orbit_past_the_limit(2, 66, "lex") is None
-    assert max(_index_data(2, 66, "lex")[1]) == math.comb(66, 33)
+    assert max(_index_tables(2, 66, "lex")[1]) == math.comb(66, 33)
     for n, k in ((2, 67), (3, 45)):
         for order in ("paper", "lex"):
             with pytest.raises(CountLimitError) as exc:
-                _index_data(n, k, order)
+                sym_power(WeightedGraph(n, {}), k, order=order)
             assert str(exc.value) == _first_orbit_past_the_limit(n, k, order)
+            # a permutation power needs no orbit sizes
+            mapping = sym_power_permutation(list(range(n, 0, -1)), k, order).mapping
+            reversed_tuples = (tuple(n + 1 - e for e in t.entries[::-1]) for t in enumerate_multisets(n, k, order))
+            assert mapping == tuple(rank(VertexMultiset(t, n), order) for t in reversed_tuples)
 
 
 def _signed_rows(rng, n, weights):
@@ -861,7 +872,7 @@ def test_permutation_power_past_the_budget_refuses_before_listing_tuples(monkeyp
     def listed(*args):
         raise AssertionError("tuples listed past the budget")
 
-    monkeypatch.setattr(symgraph.power, "enumerate_multisets", listed)
+    monkeypatch.setattr(symgraph.power, "_index_tables", listed)
     with pytest.raises(SizeBudgetError, match=r"power dimension N=15 \(n=5, k=2\) exceeds the budget 10"):
         sym_power_permutation([2, 3, 4, 5, 1], 2)
 
