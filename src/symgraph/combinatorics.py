@@ -179,10 +179,7 @@ def unrank(r: int, n: int, k: int, order: str = "paper") -> VertexMultiset:
         return VertexMultiset((r + 1,) * k, n)
     # invert the shift: lex rank is r - n + c where c is the first entry
     for c in range(1, n + 1):
-        lex = r - n + c
-        if not 0 <= lex < count:
-            continue
-        entries = _lex_unrank(lex, n, k)
+        entries = _lex_unrank(r - n + c, n, k)
         if entries[0] == c and entries[0] != entries[-1]:
             return VertexMultiset(entries, n)
     raise AssertionError(f"unrank failed for r={r}, n={n}, k={k}")  # pragma: no cover

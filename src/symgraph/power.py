@@ -26,7 +26,8 @@ Two independent kernels fill the core:
                    first row on.  ``sym_power`` fills one core with the
                    blocks and mirrors its upper triangle;
                    ``sym_power_upper_blocks`` turns each block into edges as
-                   it comes, so ``power`` never holds the N x N core.
+                   it comes, so ``power`` never holds the N x N core.  The
+                   expansion starts at k = 2: Sym^1 is the scaled matrix.
                    The method is named for the identity S[i][j] =
                    D[i] * D[j] / k! * perm(A[i_a, j_b]);
                    ``ryser_permanent`` and ``entry_permanent`` evaluate that
@@ -363,8 +364,6 @@ def _core_orbit_numpy(a_mat: np.ndarray, n: int, k: int, order: str):
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
-    if a.dtype == np.float64:
-        return np.array_equal(a, a.T, equal_nan=True)
     return bool((a == a.T).all())
 
 
@@ -388,9 +387,9 @@ def _gather(out: np.ndarray, coef: np.ndarray, weights: np.ndarray, tables: tupl
 
 def _linear_form_blocks(a: np.ndarray, n: int, k: int, order: str,
                         whole: Callable[[np.ndarray], None] | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The core S of Sym^k(a) by expanding the product of linear forms, one
-    degree at a time, yielded as the last degree's row blocks (lo, first,
-    block): rows lo:lo+len(block) of S, columns from ``first`` on.
+    """The core S of Sym^k(a), k >= 2, by expanding the product of linear
+    forms, one degree at a time, yielded as the last degree's row blocks
+    (lo, first, block): rows lo:lo+len(block) of S, columns from ``first`` on.
 
     Row t of the degree-d matrix holds the coefficients, over the degree-d
     monomials, of prod_a (sum_v a[t_a, v] x_v) for the sorted d-tuple t.  At
@@ -414,11 +413,9 @@ def _linear_form_blocks(a: np.ndarray, n: int, k: int, order: str,
     handed to ``whole``, and every block is a view of it.
     """
     upper = _is_symmetric(a)
-    coef = a  # at k = 1 the blocks read a itself
-    if k > 1:
-        # a with a zero column: the degree-1 coefficients, and the weights of every degree
-        coef = np.zeros((n, n + 1), dtype=a.dtype)
-        coef[:, :n] = a
+    # a with a zero column: the degree-1 coefficients, and the weights of every degree
+    coef = np.zeros((n, n + 1), dtype=a.dtype)
+    coef[:, :n] = a
     weights = coef
     sizes = np.array(_index_tables(n, k, order)[1], dtype=a.dtype)[:, None]
     big = len(sizes)
@@ -437,7 +434,7 @@ def _linear_form_blocks(a: np.ndarray, n: int, k: int, order: str,
             for lo in range(0, size, step):
                 _gather(nxt[lo : lo + step, :size], coef, weights, tables, lo, 0, terms, factors)
             coef = nxt
-    tables = _linear_form_tables(n, k, order) if k > 1 else None
+    tables = _linear_form_tables(n, k, order)
     if whole is None:
         scratch = np.empty(room, dtype=a.dtype)
     else:
@@ -454,11 +451,8 @@ def _linear_form_blocks(a: np.ndarray, n: int, k: int, order: str,
         else:
             block = top[lo:hi, first:]
         with np.errstate(over="ignore", invalid="ignore"):
-            if tables is None:
-                block[...] = a[lo:hi, first:]  # degree 1, where every orbit size is 1
-            else:
-                _gather(block, coef, weights, tables, lo, first, terms, factors)
-                np.multiply(block, sizes[lo:hi], out=block)  # S_ij = D_i times the coefficient
+            _gather(block, coef, weights, tables, lo, first, terms, factors)
+            np.multiply(block, sizes[lo:hi], out=block)  # S_ij = D_i times the coefficient
         yield lo, first, block
         lo = hi
 
@@ -466,7 +460,10 @@ def _linear_form_blocks(a: np.ndarray, n: int, k: int, order: str,
 def _core_linear_forms(a: np.ndarray, n: int, k: int, order: str) -> np.ndarray:
     """The whole core of ``_linear_form_blocks``: its blocks are filled in
     place in one N x N array.  When ``a`` is symmetric the upper triangle is
-    then mirrored, which in float64 also keeps D_i c_ij over D_j c_ji."""
+    then mirrored, which in float64 also keeps D_i c_ij over D_j c_ji.  At
+    k = 1 the core is ``a`` itself: S = A, every orbit size being 1."""
+    if k == 1:
+        return a
     top: list[np.ndarray] = []
     for _ in _linear_form_blocks(a, n, k, order, top.append):
         pass
@@ -581,6 +578,14 @@ def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int
             scanned += block.size
 
 
+def _upper_pieces(core: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The upper part of a symmetric N x N core as ``_edge_blocks`` pieces of
+    about ``_SUPPORT_BLOCK`` entries from the diagonal on."""
+    step = max(1, _SUPPORT_BLOCK // len(core))
+    for lo in range(0, len(core), step):
+        yield lo, lo, core[lo : lo + step, lo:]
+
+
 @dataclass(frozen=True, eq=False)
 class SymPowerMatrix:
     """The N x N power matrix in factored form: core, denominator, orbit sizes.
@@ -628,13 +633,6 @@ class SymPowerMatrix:
         d = np.array(self.orbit_sizes, dtype=np.float64)
         return _float_values(self.core, self.denominator) / np.sqrt(np.outer(d, d))
 
-    def _pieces(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        """The core's upper part as ``_edge_blocks`` pieces of about
-        ``_SUPPORT_BLOCK`` entries from the diagonal on."""
-        step = max(1, _SUPPORT_BLOCK // self.dim)
-        for lo in range(0, self.dim, step):
-            yield lo, lo, self.core[lo : lo + step, lo:]
-
     def upper_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """0-based (rows, cols, weights) of the nonzero core entries with row <=
         col in (row, col) order, a block per about ``_SUPPORT_BLOCK`` entries
@@ -644,7 +642,7 @@ class SymPowerMatrix:
         left out.  An entry past the float64 range, or a float core's inf or
         nan, raises ValueError here, before the first block."""
         _check_float_range([(0, 0, self.core)], self.path, self.denominator)
-        return _edge_blocks(self._pieces(), self.orbit_sizes, self.denominator, exact=False)
+        return _edge_blocks(_upper_pieces(self.core), self.orbit_sizes, self.denominator, exact=False)
 
     def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero pairs of the float matrix with row <= col and their
@@ -757,8 +755,9 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
     float64 weights as ``SymPowerMatrix.upper_blocks()`` gives them, or with
     ``exact`` (index, values), one :class:`ExactWeight` per distinct (S_ij, D_i * D_j) of a block.
 
-    ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, so
-    no N x N core is held; ``"orbit"``, the reference, builds the whole core.
+    ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, or
+    at k = 1 of the scaled matrix, so no N x N core is held; ``"orbit"``,
+    the reference, builds the whole core.
     Every refusal comes before this returns: those of ``sym_power``,
     ``exact`` on float input (before any kernel runs), and an entry past the
     float64 range.  When the kernels' bound on every entry over L^k,
@@ -769,12 +768,12 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
     if exact and not s.exact:
         raise ValueError("--exact requires a graph with rational weights")
     if method == "orbit":
-        pieces = _whole_power(s, n, k, method, order)._pieces
+        pieces = partial(_upper_pieces, _whole_power(s, n, k, method, order).core)
     else:
         if s.path == "object":
             _check_budget(f"the streamed object power of N={len(s.sizes)} (n={n}, k={k})",
                           held=_object_bytes(s, n, k, method, False))
-        pieces = partial(_linear_form_blocks, s.a, n, k, order)
+        pieces = partial(_upper_pieces, s.a) if k == 1 else partial(_linear_form_blocks, s.a, n, k, order)
     if not exact:
         _check_float_range(pieces(), s.path, s.denominator, s.bound)
     return len(s.sizes), _edge_blocks(pieces(), s.sizes, s.denominator, exact)

@@ -140,6 +140,15 @@ def test_float_power_past_the_float_range_exits_2_before_writing(capsys, monkeyp
     assert code == 0 and "inf" not in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_float_power_below_the_float_range_writes_no_pair(capsys, monkeypatch):
+    # every entry of the k=2 power is 1e-400 exactly, below the least
+    # subnormal: the float power underflows to the edgeless graph on N=3,
+    # with exit 0 and no error line (a certified support would decide these
+    # entries exactly)
+    assert run_cli(capsys, ["power", "-k", "2"], "2\n1 2 1e-200\n", monkeypatch) == (0, "3\n", "")
+
+
 def test_verify_nmax_below_two_usage_error(capsys):
     # the suites draw n from randint(2, nmax), which leaked "empty range" at 1
     with pytest.raises(SystemExit) as exc:
@@ -709,17 +718,22 @@ def test_commands_reading_a_dense_power_run_in_bounded_memory(tmp_path):
 
 
 def test_first_power_of_a_long_path_holds_one_n_by_n_matrix(tmp_path):
-    # power -k 1 of family path 5000 (a 57,782-byte file) takes its int64
-    # bound from the pairs and scatters the weights once, into the kernel's
-    # n x n int64 matrix (200 MB); each process may peak at most 230 MB above
-    # a bare import of the CLI, which leaves no room for a second such matrix
+    # power -k 1 of family path 5000 (a 57,782-byte file) takes its bound
+    # from the pairs and scatters the weights once, into one n x n matrix
+    # (200 MB), int64 or, for the copy with every weight 0.5, float64, whose
+    # upper part it writes as the power; each process may peak at most
+    # 230 MB above a bare import of the CLI, which leaves no room for a
+    # second such matrix
     import os
 
-    source = tmp_path / "path.txt"
+    source, half = tmp_path / "path.txt", tmp_path / "path-half.txt"
     assert main(["family", "path", "5000", "-o", str(source)]) == 0
+    head, *pairs = source.read_text().splitlines(keepends=True)
+    half.write_text(head + "".join(line.replace(" 1\n", " 0.5\n") for line in pairs))
     shim = "import sys; from symgraph.cli import main; sys.exit(main())"
     bare = _peak_mb(["import symgraph.cli"])
-    peaks = [_peak_mb([shim, "power", "-k", "1", *flags, "-o", os.devnull, str(source)]) for flags in ([], ["--exact"])]
+    runs = [([], source), (["--exact"], source), ([], half)]
+    peaks = [_peak_mb([shim, "power", "-k", "1", *flags, "-o", os.devnull, str(graph)]) for flags, graph in runs]
     assert max(peaks) <= bare + 230, (bare, peaks)
 
 

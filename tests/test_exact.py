@@ -99,3 +99,20 @@ def test_str_tokens():
     assert str(ExactWeight.sqrt(2)) == "sqrt(2)"
     assert str(ExactWeight.make(3, 2)) == "3*sqrt(2)"
     assert str(ExactWeight.make(Fraction(3, 2), 2)) == "3/2*sqrt(2)"
+
+
+def test_subtraction_negation_and_repr():
+    a = ExactWeight.make(3, 2)
+    assert -a == ExactWeight.make(-3, 2) and (-a).exact
+    assert a - ExactWeight.sqrt(2) == ExactWeight.make(2, 2)
+    assert a - a == 0 and (a - a).exact
+    assert ExactWeight.of(Fraction(1, 2)) - 1 == Fraction(-1, 2)
+    assert a.__sub__(0.5) is NotImplemented
+    # across square-root classes the difference is a float, marked inexact
+    mixed = ExactWeight.sqrt(2) - 1
+    assert not mixed.exact and not (-mixed).exact
+    assert float(-mixed) == -float(mixed) == pytest.approx(1 - math.sqrt(2), rel=1e-15)
+    assert str(mixed) == repr(float(mixed))
+    assert str(ExactWeight.inexact(0.1)) == "0.1"
+    assert repr(a) == "ExactWeight(Fraction(3, 1), 2)"
+    assert repr(ExactWeight.inexact(0.5)) == "ExactWeight(Fraction(1, 2), 1, exact=False)"

@@ -21,6 +21,7 @@ from symgraph.graphs import (
 from symgraph.power import (
     PermanentCapError,
     SizeBudgetError,
+    SymPermutation,
     edge_injection,
     entry_orbit_sum,
     entry_permanent,
@@ -31,6 +32,7 @@ from symgraph.power import (
     sym_power,
     sym_power_graph,
     sym_power_permutation,
+    sym_power_upper_blocks,
 )
 
 ONE = ExactWeight.of(1)
@@ -369,6 +371,27 @@ def test_python_fallback_matches_int64_paths():
                     assert ExactWeight.make(Fraction(core.item(x, y), d), d) == want
 
 
+def test_first_power_core_is_the_scaled_matrix():
+    # Sym^1(G) is G: at k = 1 the linear-form core is the scaled matrix
+    # itself, not a copy, and equals the orbit reference's core on every path
+    from symgraph.power import _core_linear_forms
+
+    graphs = {
+        "int64": WeightedGraph(3, {(1, 1): -2, (1, 2): 3, (2, 3): 1}),
+        "object": WeightedGraph(2, {(1, 2): 2**62, (2, 2): -1}),
+        "float64": WeightedGraph(3, {(1, 2): 0.5, (2, 2): -0.25, (1, 3): 1e-300}),
+        "fraction": WeightedGraph(3, {(1, 2): Fraction(1, 3), (2, 3): Fraction(-5, 2), (3, 3): 2}),
+    }
+    for name, g in graphs.items():
+        for order in ("paper", "lex"):
+            fast, reference = sym_power(g, 1, order=order), sym_power(g, 1, method="orbit", order=order)
+            assert fast.path == reference.path == ("int64" if name == "fraction" else name)
+            assert fast.core.dtype == reference.core.dtype and np.array_equal(fast.core, reference.core)
+            assert fast.denominator == reference.denominator == (6 if name == "fraction" else 1)
+    a = np.arange(9).reshape(3, 3)  # not symmetric: S = A all the same
+    assert _core_linear_forms(a, 3, 1, "paper") is a
+
+
 def test_functoriality_of_the_linear_form_core():
     # Sym^k(AB) = Sym^k(A) Sym^k(B) (Bhatia, Matrix Analysis, I.5); with
     # S = diag(D) C in factored form this is S_AB = S_A (S_B / D) exactly.
@@ -615,7 +638,29 @@ def test_upper_support_scans_row_blocks_in_order(monkeypatch, block):
         rows, cols = map(np.concatenate, list(zip(*power.upper_blocks()))[:2])
         want = np.nonzero(np.triu(power.core))
         assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+        # the streamed first power scans the scaled matrix in the same blocks
+        dim, streamed = sym_power_upper_blocks(g.n, *edge_arrays(g), 1)
+        streamed, whole = list(streamed), list(sym_power(g, 1).upper_blocks())
+        assert dim == g.n and len(streamed) == len(whole)
+        for got, block in zip(streamed, whole):
+            assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, block))
     assert paths == {"int64", "object", "float64"}
+
+
+def test_a_weight_that_underflows_leaves_its_pair_out():
+    # one core entry of this k=4 power is S = 5e-324, the least subnormal,
+    # at D_i * D_j = 4: its weight S / 2 rounds to 0.0, so neither the stream
+    # nor upper_edges() lists the pair, as to_dense() has no edge there
+    g = WeightedGraph(3, {(1, 3): 5.527147875260445e-76, (2, 2): 6.908934844075556e-77,
+                          (2, 3): 2.635549485807631e-82, (3, 3): 6.747006683667535e-80})
+    power = sym_power(g, 4)
+    dense = np.triu(power.to_dense())
+    assert np.count_nonzero(np.triu(power.core)) == np.count_nonzero(dense) + 1 == 56
+    want = np.nonzero(dense)
+    _, blocks = sym_power_upper_blocks(g.n, *edge_arrays(g), 4)
+    for rows, cols, weights in (power.upper_edges(), tuple(map(np.concatenate, zip(*blocks)))):
+        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+        assert np.array_equal(weights, dense[want])
 
 
 def _largest_int64_row_sum(k, d_max):
@@ -861,6 +906,8 @@ def test_permutation_validation():
         sym_power_permutation([1, 1], 2)
     with pytest.raises(ValueError):
         sym_power_permutation([1, 2], 0)
+    with pytest.raises(ValueError, match="mapping is not a bijection on ranks"):
+        SymPermutation(n=2, k=1, order="paper", mapping=(0, 0))
 
 
 def test_permutation_power_past_the_budget_refuses_before_listing_tuples(monkeypatch):
@@ -883,6 +930,9 @@ def test_relabel_basics():
     assert relabel(g, [3, 2, 1]) == g  # path reversal is an automorphism
     h = relabel(WeightedGraph(2, {(1, 1): 7}), [2, 1])
     assert h.weight(2, 2) == 7 and h.weight(1, 1) == 0
+    # vertex v takes the label of the vertex that maps to it
+    labeled = relabel(WeightedGraph(3, {(1, 2): 1}, ("a", "b", "c")), [2, 3, 1])
+    assert labeled.labels == ("c", "a", "b") and labeled.weight(2, 3) == 1
     with pytest.raises(ValueError):
         relabel(g, [1, 2])
 
