@@ -10,7 +10,8 @@ degrades to an ordinary float carried with ``exact=False``.
 
 Normalization factors ``r`` by trial division, which is fine for the orbit
 counts this package produces (at most (k!)^2 for small k) but would crawl on
-adversarial 60-bit semiprimes.
+adversarial 60-bit semiprimes.  :func:`sqrt_token` is the one writer of the
+``q*sqrt(r)`` text: ``str`` calls it, and so does ``power --exact`` on ints.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def square_free_split(r: int) -> tuple[int, int]:
                 d *= f
         f += 1 if f == 2 else 2
     return s, d * m  # leftover m is 1 or prime
+
+
+def sqrt_token(a: int, b: int, r: int) -> str:
+    """a/b * sqrt(r) (b >= 1, r square-free) in lowest terms: a, a/b, sqrt(r), a*sqrt(r) or a/b*sqrt(r)."""
+    g = math.gcd(a, b)
+    q = str(a // g) if b == g else f"{a // g}/{b // g}"
+    return q if r == 1 else f"sqrt({r})" if q == "1" else f"{q}*sqrt({r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,13 +151,7 @@ class ExactWeight:
         return self + (-other)
 
     def __str__(self) -> str:
-        if not self.exact:
-            return repr(float(self.q))
-        if self.r == 1:
-            return str(self.q)
-        if self.q == 1:
-            return f"sqrt({self.r})"
-        return f"{self.q}*sqrt({self.r})"
+        return sqrt_token(self.q.numerator, self.q.denominator, self.r) if self.exact else repr(float(self.q))
 
     def __repr__(self) -> str:
         flag = "" if self.exact else ", exact=False"

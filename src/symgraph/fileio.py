@@ -21,9 +21,9 @@ a table of label and distinct weight texts.
 ``symgraph power`` and ``dot`` stream their output, plain ``stats`` its input.
 
 Weights are written as the shortest decimal that round-trips the float, so
-parse(write(g)) reproduces g up to that formatting.  ``power --exact``
-writes the power of any rational input as ``q*sqrt(r)`` tokens, for
-reading, not for feeding back in.
+parse(write(g)) reproduces g up to that formatting.  ``power --exact`` of
+a rational input hands the writer one ``q*sqrt(r)`` text per distinct
+entry (``exact.sqrt_token``), for reading, not for feeding back in.
 """
 
 from __future__ import annotations
@@ -469,12 +469,10 @@ def format_weight(w) -> str:
         return repr(w)
     if isinstance(w, bool):
         raise TypeError("boolean weight")
-    if isinstance(w, int):
-        return str(w)
+    if isinstance(w, (int, ExactWeight)):
+        return str(w)  # an ExactWeight as its q*sqrt(r) token
     if isinstance(w, Fraction):
         return str(w) if w.denominator == 1 else repr(float(w))
-    if isinstance(w, ExactWeight):
-        return str(w)  # the q*sqrt(r) token
     return repr(float(w))  # repr is the shortest round-trip decimal
 
 
@@ -491,25 +489,26 @@ def _text_table(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _pair_lines(blocks: Iterable[tuple], names: Sequence, first: str, second: str, weight: str) -> Iterator[str]:
     """The lines ``first.format(u) + second.format(v) + weight.format(format_weight(w))`` of
     ``blocks``, ``_WRITE_LINES`` at a time.  A block is (u, v, weights): ends indexing ``names``, and
-    an ndarray, reduced to its distinct values a chunk at a time, or their (index, values).  Each chunk
-    is gathered by one ``np.repeat`` index from a byte table of label texts and weight texts."""
+    an ndarray, reduced to its distinct values a chunk at a time, or (index, texts), written as they
+    are.  Each chunk is gathered by one ``np.repeat`` index from a byte table of label and weight texts."""
     labels, label_at, label_size = _text_table([f.format(x).encode() for f in (first, second) for x in names])
     table = labels
     for u, v, weights in blocks:
         for lo in range(0, len(u), _WRITE_LINES):
             hi = lo + _WRITE_LINES
             if isinstance(weights, tuple):
-                w, values = weights[0][lo:hi], weights[1] if lo == 0 else None
+                w, texts = weights[0][lo:hi], weights[1] if lo == 0 else None
             elif weights.dtype in (np.int64, np.float64):  # by bit pattern
                 bits, w = np.unique(weights[lo:hi].view(np.int64), return_inverse=True)
-                values = bits.view(weights.dtype).tolist()
+                texts = map(format_weight, bits.view(weights.dtype).tolist())
             else:  # by (type, value) as Python values: 1 and 1.0 keep their own texts, 0.0 and -0.0 share one
                 chunk = weights[lo:hi].tolist()
                 keys = list(zip(map(type, chunk), chunk))
                 ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-                w, values = np.fromiter(map(ids.__getitem__, keys), dtype=np.intp, count=len(keys)), [x for _, x in ids]
-            if values is not None:
-                text, text_at, text_size = _text_table([weight.format(format_weight(x)).encode() for x in values])
+                w = np.fromiter(map(ids.__getitem__, keys), dtype=np.intp, count=len(keys))
+                texts = [format_weight(x) for _, x in ids]
+            if texts is not None:
+                text, text_at, text_size = _text_table([weight.format(x).encode() for x in texts])
                 if len(table) < len(labels) + len(text):  # room for twice these texts
                     table = np.concatenate((labels, np.empty(2 * len(text), dtype=np.uint8)))
                 table[len(labels) : len(labels) + len(text)] = text

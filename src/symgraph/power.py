@@ -58,13 +58,13 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .combinatorics import COUNT_LIMIT, VertexMultiset, _sorted_tuples, enumerate_orbit, multiset_count, orbit_size
-from .exact import ExactWeight
+from .exact import ExactWeight, sqrt_token, square_free_split
 from .graphs import WeightedGraph, all_rational, dense_matrix, edge_arrays, square_rows
 
 METHODS = ("orbit", "permanent")
@@ -527,11 +527,6 @@ def _check_float_range(pieces: Iterable[tuple[int, int, np.ndarray]], path: str,
             raise ValueError("a power entry is past the float64 range")
 
 
-def _exact_weight(s: int, d: int, denominator: int) -> ExactWeight:
-    """The entry S / (denominator * sqrt(d)), d = D_i * D_j, as an exact weight."""
-    return ExactWeight.make(Fraction(s, denominator * d), d)
-
-
 def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int, ...], denominator: int,
                  exact: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | tuple]]:
     """0-based (rows, cols, weights) of the nonzero entries with row <= col of
@@ -542,7 +537,8 @@ def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int
 
     The weights are float64 S_ij / sqrt(D_i * D_j), bit-equal to ``SymPowerMatrix.to_dense()``,
     with the pairs whose weight underflows to 0.0 left out; with ``exact`` they are (index,
-    values): one :class:`ExactWeight` per distinct (S_ij, D_i * D_j) of a block.
+    texts): the ``str(entry_exact)`` of each distinct (S_ij, D_i * D_j) of a block, from the ints
+    S_ij / (L^k * s * f) and f, where D_i * D_j = s^2 * f with f square-free, split once a block.
     """
     d = np.array(sizes, dtype=np.float64)
     radicand = np.array(sizes, dtype=np.int64 if max(sizes) ** 2 < 2**63 else object)  # D_i * D_j must not wrap
@@ -553,8 +549,9 @@ def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int
             _, s_at = np.unique(values, return_inverse=True)
             d_values, d_at = np.unique(radicands, return_inverse=True)
             _, first, index = np.unique(s_at * len(d_values) + d_at, return_index=True, return_inverse=True)
-            return rows, cols, (index, list(map(_exact_weight, values[first].tolist(), radicands[first].tolist(),
-                                                repeat(denominator))))
+            radicals = [(denominator * s * f, f) for s, f in map(square_free_split, d_values.tolist())]
+            texts = [sqrt_token(x, *radicals[at]) for x, at in zip(values[first].tolist(), d_at[first].tolist())]
+            return rows, cols, (index, texts)
         w = _float_values(values, denominator)
         root = d[rows]
         root *= d[cols]
@@ -626,7 +623,8 @@ class SymPowerMatrix:
     def entry_exact(self, i: int, j: int) -> ExactWeight:
         if not self.exact:
             raise ValueError("matrix was computed in float mode; exact entries unavailable")
-        return _exact_weight(self.core.item(i, j), self.orbit_sizes[i] * self.orbit_sizes[j], self.denominator)
+        d = self.orbit_sizes[i] * self.orbit_sizes[j]
+        return ExactWeight.make(Fraction(self.core.item(i, j), self.denominator * d), d)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the float matrix E = S / sqrt(D outer D)."""
@@ -753,7 +751,7 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
     """The dimension N of the power of the n-vertex graph with weight w at each
     1-based pair (u, v), and the blocks of its nonzero pairs with row <= col:
     float64 weights as ``SymPowerMatrix.upper_blocks()`` gives them, or with
-    ``exact`` (index, values), one :class:`ExactWeight` per distinct (S_ij, D_i * D_j) of a block.
+    ``exact`` (index, texts), one ``q*sqrt(r)`` text per distinct (S_ij, D_i * D_j) of a block.
 
     ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, or
     at k = 1 of the scaled matrix, so no N x N core is held; ``"orbit"``,

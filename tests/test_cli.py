@@ -336,24 +336,44 @@ def test_power_output_bytes_match_entries(capsys, monkeypatch, source):
             return {(power.core.item(i, j), sizes[i] * sizes[j])
                     for i in rows for j in range(i, power.dim) if power.core.item(i, j)}
 
-        # one exact weight per distinct key of a block, none for zeros.  The
-        # default blocks hold the whole power; with --method orbit and blocks
-        # of one entry, each row of the core is a block
+        # one q*sqrt(r) token per distinct key of a block, none for zeros.
+        # The default blocks hold the whole power; with --method orbit and
+        # blocks of one entry, each row of the core is a block
         assert power.dim**2 <= symgraph.power._SUPPORT_BLOCK
         cases = [([], None, len(keys(range(power.dim)))),
                  (["--method", "orbit"], 1, sum(len(keys([i])) for i in range(power.dim)))]
-        exact_weight = symgraph.power._exact_weight
+        sqrt_token = symgraph.power.sqrt_token
         for flags, block, want in cases:
             if block is not None:
                 monkeypatch.setattr(symgraph.power, "_SUPPORT_BLOCK", block)
             calls = []
-            monkeypatch.setattr(symgraph.power, "_exact_weight", lambda *args: calls.append(1) or exact_weight(*args))
+            monkeypatch.setattr(symgraph.power, "sqrt_token", lambda *args: calls.append(1) or sqrt_token(*args))
             code, out, _ = run_cli(capsys, ["power", "-k", "3", "--exact", *flags], stdin=stdin, monkeypatch=monkeypatch)
-            monkeypatch.setattr(symgraph.power, "_exact_weight", exact_weight)
+            monkeypatch.setattr(symgraph.power, "sqrt_token", sqrt_token)
             assert code == 0
             assert out == _rendered(power, lambda p, i, j: p.entry_exact(i, j))
             assert len(calls) == want
             assert 0 < len(calls) <= out.count("\n") - 1
+
+
+@pytest.mark.parametrize("source", ["rational", "signed"])
+def test_exact_power_builds_no_exact_weight(capsys, monkeypatch, source):
+    # power --exact writes each token from the core's integers: with
+    # ExactWeight's constructor and make failing, the bytes are the same
+    from symgraph.exact import ExactWeight
+
+    if source == "rational":
+        monkeypatch.setattr(symgraph.cli, "_load_edges", lambda path: (RATIONAL.n, *edge_arrays(RATIONAL)))
+    stdin = None if source == "rational" else SIGNED_TEXT
+    power = sym_power(RATIONAL if source == "rational" else parse_graph(SIGNED_TEXT), 3)
+    want = _rendered(power, lambda p, i, j: p.entry_exact(i, j))
+
+    def fail(*args):
+        raise AssertionError("an ExactWeight was built")
+
+    monkeypatch.setattr(ExactWeight, "make", staticmethod(fail))
+    monkeypatch.setattr(ExactWeight, "__init__", fail)
+    assert run_cli(capsys, ["power", "-k", "3", "--exact"], stdin=stdin, monkeypatch=monkeypatch) == (0, want, "")
 
 
 def test_exact_power_whose_orbit_size_products_pass_int64(capsys, monkeypatch):
@@ -484,25 +504,35 @@ def _block_sizes(monkeypatch, size):
 def test_streamed_power_equals_the_joined_arrays_in_any_block_size(capsys, monkeypatch, size):
     import numpy as np
 
-    from symgraph.fileio import write_edges
+    from symgraph.fileio import edge_text_blocks, write_edges
+    from symgraph.power import sym_power_upper_blocks
 
+    # a signed int graph whose power has mostly distinct exact entries, and a
+    # graph of Fraction weights (L = 6), which no graph file holds
+    texts = dict(STREAM_GRAPHS, distinct="4\n1 1 -3\n1 2 5\n1 3 -7\n1 4 2\n2 2 11\n2 3 -13\n3 4 17\n4 4 -19\n")
+    rational = WeightedGraph(4, {(1, 1): Fraction(-1, 2), (1, 2): Fraction(2, 3), (2, 4): 5, (3, 3): Fraction(7, 6)})
     # the references are made whole, at the default block sizes
     want = {}
-    for path, text in STREAM_GRAPHS.items():
-        power = sym_power(parse_graph(text), 3)
-        assert power.path == path
+    for name, graph in [*((name, parse_graph(text)) for name, text in texts.items()), ("rational", rational)]:
+        power = sym_power(graph, 3)
+        assert power.path == {"distinct": "int64", "rational": "int64"}.get(name, name)
         rows, cols, weights = power.upper_edges()
-        want[path, False] = write_edges(power.dim, rows + 1, cols + 1, weights)
+        want[name, False] = write_edges(power.dim, rows + 1, cols + 1, weights)
         if power.exact:
             rows, cols = np.nonzero(np.triu(power.core))
             exact = list(map(power.entry_exact, rows.tolist(), cols.tolist()))
-            want[path, True] = write_edges(power.dim, rows + 1, cols + 1, exact)
+            want[name, True] = write_edges(power.dim, rows + 1, cols + 1, exact)
+    assert len({line.split()[-1] for line in want["distinct", True].splitlines()[1:]}) > 150  # of 166 pairs
     _block_sizes(monkeypatch, size)
-    for (path, exact), text in want.items():
+    for (name, exact), text in want.items():
+        if name == "rational":
+            dim, blocks = sym_power_upper_blocks(rational.n, *edge_arrays(rational), 3, exact=exact)
+            assert "".join(edge_text_blocks(dim, blocks, range(1, dim + 1))) == text, (name, exact)
+            continue
         argv = ["power", "-k", "3"] + (["--exact"] if exact else [])
-        code, out, err = run_cli(capsys, argv, stdin=STREAM_GRAPHS[path], monkeypatch=monkeypatch)
+        code, out, err = run_cli(capsys, argv, stdin=texts[name], monkeypatch=monkeypatch)
         assert (code, err) == (0, "")
-        assert out == text, (path, exact)
+        assert out == text, (name, exact)
 
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symgraph.exact import ExactWeight, square_free_split
+from symgraph.exact import ExactWeight, sqrt_token, square_free_split
 
 
 def test_square_free_split():
@@ -99,6 +99,17 @@ def test_str_tokens():
     assert str(ExactWeight.sqrt(2)) == "sqrt(2)"
     assert str(ExactWeight.make(3, 2)) == "3*sqrt(2)"
     assert str(ExactWeight.make(Fraction(3, 2), 2)) == "3/2*sqrt(2)"
+
+
+def test_sqrt_token_reduces_and_writes_each_form():
+    assert sqrt_token(0, 7, 1) == "0"
+    assert sqrt_token(6, 3, 1) == "2"
+    assert sqrt_token(-2, 6, 1) == "-1/3"
+    assert sqrt_token(3, 3, 5) == "sqrt(5)"
+    assert sqrt_token(-4, 2, 5) == "-2*sqrt(5)"
+    assert sqrt_token(2, 6, 7) == "1/3*sqrt(7)"
+    assert sqrt_token(-3, 3, 5) == "-1*sqrt(5)" == str(ExactWeight.make(-1, 5))
+    assert sqrt_token(-(2**80) * 9, 3**70, 1) == str(Fraction(-(2**80), 3**68))
 
 
 def test_subtraction_negation_and_repr():

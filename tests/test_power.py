@@ -647,6 +647,34 @@ def test_upper_support_scans_row_blocks_in_order(monkeypatch, block):
     assert paths == {"int64", "object", "float64"}
 
 
+def test_exact_stream_tokens_equal_the_exact_weights(monkeypatch):
+    # every token of the --exact stream is str(ExactWeight.make(Fraction(S, L * d), d)),
+    # d = D_i * D_j a product of a real power's orbit sizes (at n=2, k=35 past int64),
+    # for seeded signed S (small ones repeat within a block, large ones pass int64)
+    # and L = 1, L > 1 and L past int64, in blocks of a few hundred entries
+    import symgraph.power
+    from symgraph.power import _edge_blocks, _index_tables, _upper_pieces
+
+    monkeypatch.setattr(symgraph.power, "_SUPPORT_BLOCK", 500)
+    rng = random.Random(2401)
+    draws = 0
+    for n, k in ((3, 5), (4, 6), (2, 35)):
+        sizes = _index_tables(n, k, "paper")[1]
+        big = len(sizes)
+        for span, dtype in ((60, np.int64), (2**70, object)):
+            for denominator in (1, 12**3, 10**25):
+                core = np.array([[rng.randint(-span, span) for _ in range(big)] for _ in range(big)], dtype=dtype)
+                want = {(i, j): str(ExactWeight.make(Fraction(core.item(i, j), denominator * sizes[i] * sizes[j]),
+                                                     sizes[i] * sizes[j]))
+                        for i in range(big) for j in range(i, big) if core.item(i, j)}
+                got = {}
+                for rows, cols, (index, texts) in _edge_blocks(_upper_pieces(core), sizes, denominator, exact=True):
+                    got.update(zip(zip(rows.tolist(), cols.tolist()), [texts[x] for x in index.tolist()]))
+                assert got == want, (n, k, span, denominator)
+                draws += len(want)
+    assert max(sizes) ** 2 >= 2**63 and draws > 25_000
+
+
 def test_a_weight_that_underflows_leaves_its_pair_out():
     # one core entry of this k=4 power is S = 5e-324, the least subnormal,
     # at D_i * D_j = 4: its weight S / 2 rounds to 0.0, so neither the stream
