@@ -7,7 +7,8 @@ compose in pipelines, e.g.::
     symgraph family path 3 | symgraph power -k 2 | symgraph stats
 
 A command that reads a graph file holds it as the arrays (n, u, v, w) of
-``fileio.read_edges``; plain ``stats`` counts its blocks as they arrive.
+``fileio.read_edges``, but for ``stats``, which counts its blocks as they
+arrive and joins them only for ``--wiener`` or ``--spectrum``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .fileio import (
     edge_text_blocks,
     read_edges,
     read_stats_json,
-    stats_json_edges,
     write_graph,
 )
 from .graphs import FAMILY_NAMES, family
@@ -73,11 +73,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.wiener or args.spectrum:
-        sys.stdout.write(stats_json_edges(*_load_edges(args.input), wiener=args.wiener, spectrum=args.spectrum))
-    else:
-        with _open_input(args.input) as handle:
-            sys.stdout.write(read_stats_json(handle))
+    with _open_input(args.input) as handle:
+        sys.stdout.write(read_stats_json(handle, args.wiener, args.spectrum))
     return 0
 
 

@@ -18,7 +18,8 @@ once.  One writer, for graph files and DOT, gathers each block's bytes from
 a table of label and distinct weight texts.
 :func:`parse_edges` (or :func:`read_edges`, from a handle) and
 :func:`write_edges` join the blocks into whole arrays (n, u, v, w) and text;
-``symgraph power`` and ``dot`` stream their output, plain ``stats`` its input.
+``symgraph power`` and ``dot`` stream their output, ``stats`` its input,
+joined only for ``--wiener`` or ``--spectrum``.
 
 Weights are written as the shortest decimal that round-trips the float, so
 parse(write(g)) reproduces g up to that formatting.  ``power --exact`` of
@@ -564,44 +565,40 @@ def dot_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: Sequ
     yield "}\n"
 
 
-def _stats_json(counts: dict[str, object], wiener: int | None = None, spectrum: list[float] | None = None) -> str:
-    """The stats JSON: ``counts`` as :func:`analysis.support_stats_blocks`
-    returns them, then ``wiener`` (null when None), then ``spectrum`` when
-    given."""
-    stats = {**counts, "wiener": wiener}
-    if spectrum is not None:
-        stats["spectrum"] = spectrum
+def stats_json(n: int, blocks: Iterable[tuple], wiener: bool = False, spectrum: bool = False) -> str:
+    """The stats JSON of the n-vertex graph whose nonzero pairs come as
+    blocks of 1-based (u, v, w) arrays, u <= v: the counts of
+    :func:`analysis.support_stats_blocks`, then ``wiener``, null unless
+    requested on a connected graph, then ``spectrum`` when requested.  A
+    flag keeps the blocks, joined once for the eigensolver and the BFS
+    (O(n^2) time on a path); past SYMTENSOR_MAX_N vertices it refuses after
+    the last block, so that a bad line is named first, but before the
+    counts' O(n) arrays."""
+    if wiener or spectrum:
+        blocks = list(blocks)
+        if wiener:
+            _check_budget(f"the Wiener index of n={n} vertices", n)
+        if spectrum:
+            _check_budget(f"matrix dimension {n}", n)
+    stats = {**analysis.support_stats_blocks(n, (block[:2] for block in blocks)), "wiener": None}
+    if wiener or spectrum:
+        _, u, v, w = _joined(iter([n, *blocks]))
+        blocks.clear()  # the joined arrays hold every pair
+        if spectrum:
+            stats["spectrum"] = list(eigenvalues_edges(n, u, v, w).values)
+        if wiener and stats["components"] == 1:
+            stats["wiener"] = analysis.wiener_index_edges(n, u, v)
     return json.dumps(stats) + "\n"
 
 
 def write_stats_json(graph: WeightedGraph, wiener: bool = False, spectrum: bool = False) -> str:
     """Summary statistics as JSON with a fixed key order:
-    :func:`stats_json_edges` of the graph's pairs."""
-    return stats_json_edges(graph.n, *edge_arrays(graph), wiener=wiener, spectrum=spectrum)
+    :func:`stats_json` of the graph's pairs."""
+    return stats_json(graph.n, [edge_arrays(graph)], wiener, spectrum)
 
 
-def stats_json_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, wiener: bool = False,
-                     spectrum: bool = False) -> str:
-    """The stats JSON of the n-vertex graph with weight w at each 1-based
-    pair (u, v).  ``wiener`` is null unless requested on a connected graph;
-    ``spectrum`` is included only when requested.  A requested ``wiener``
-    raises :class:`SizeBudgetError` past SYMTENSOR_MAX_N vertices: its BFS
-    takes O(n^2) time on a path."""
-    if wiener:
-        _check_budget(f"the Wiener index of n={n} vertices", n)
-    values = list(eigenvalues_edges(n, u, v, w).values) if spectrum else None
-    wiener_value: int | None = None
-    if wiener:
-        try:
-            wiener_value = analysis.wiener_index_edges(n, u, v)
-        except analysis.DisconnectedGraphError:
-            wiener_value = None
-    return _stats_json(analysis.support_stats_blocks(n, [(u, v)]), wiener_value, values)
-
-
-def read_stats_json(handle: TextIO) -> str:
-    """The stats JSON of the graph file read from a text handle a block at
-    a time, counted as blocks arrive: no whole-file array is kept."""
+def read_stats_json(handle: TextIO, wiener: bool = False, spectrum: bool = False) -> str:
+    """:func:`stats_json` of the graph file read from a text handle a block
+    at a time."""
     blocks = _edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
-    n = next(blocks)
-    return _stats_json(analysis.support_stats_blocks(n, (part[:2] for part in blocks)))
+    return stats_json(next(blocks), blocks, wiener, spectrum)

@@ -45,12 +45,13 @@ class WeightedGraph:
         for u, v, w in items:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"vertex pair ({u}, {v}) out of range 1..{n}")
+            # bools and numpy ints become Python ints, which every layer reads as
+            # rational, and numpy floats Python floats, checked as finite below;
+            # plain ints and floats skip the slower isinstance test
+            if type(w) not in (int, float) and isinstance(w, (bool, np.bool_, np.integer, np.floating)):
+                w = float(w) if isinstance(w, np.floating) else int(w)
             if isinstance(w, float) and not math.isfinite(w):
                 raise ValueError(f"weight for ({u}, {v}) is not finite: {w}")
-            # bools and numpy ints become Python ints, which every layer reads as
-            # rational; plain ints and floats skip the slower isinstance test
-            if type(w) not in (int, float) and isinstance(w, (bool, np.bool_, np.integer)):
-                w = int(w)
             key = (u, v) if u <= v else (v, u)
             if key in store and store[key] != w:
                 raise ValueError(f"conflicting weights for pair {key}")

@@ -498,7 +498,8 @@ def _core_bound(k: int, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, d_m
     D_i * coef_ij(|scaled|) <= D_max * r^k."""
     sums, size = np.zeros(n, dtype=w.dtype), np.abs(w)
     np.add.at(sums, u - 1, size)
-    np.add.at(sums, v[u != v] - 1, size[u != v])
+    size[u == v] = 0
+    np.add.at(sums, v - 1, size)
     return d_max * sums.max() ** k
 
 
@@ -696,8 +697,8 @@ def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method:
     exact = all_rational(map(w.item, range(len(w))))  # Python numbers, read lazily
     if not exact:
         a = dense_matrix(n, u, v, w, np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = _core_bound(k, n, u, v, a[u - 1, v - 1], d_max)
+        with np.errstate(over="ignore", invalid="ignore"):  # dense_matrix refused any int past float64
+            bound = _core_bound(k, n, u, v, w.astype(np.float64, copy=False), d_max)
         return _Scaled(a, False, "float64", 1, tuples, sizes, bound)
     w = w.astype(object)  # Python ints and Fractions: the scaling below must not wrap in int64
     scale = math.lcm(*(x.denominator for x in w))

@@ -518,8 +518,6 @@ def suite_components(nmax: int = 8, kmax: int = 5, seed: int = DEFAULT_SEED) -> 
     # the general ceiling: at most 2^(k-1) components
     for tag, graph in family_graphs(min(nmax, 7)):
         for k in range(1, min(kmax, 4) + 1):
-            if multiset_count(graph.n, k) > 300:
-                continue
             cases.append((_ceiling_case, f"ceiling_{tag}_k{k}", graph, k))
     res.merge(_map_cases(cases))
     return res

@@ -174,13 +174,26 @@ def test_spectrum_output(tmp_path, capsys):
     assert values[1] == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
 
 
-def test_stats_flags(tmp_path, capsys):
+def test_stats_flags(tmp_path, capsys, monkeypatch):
     source = tmp_path / "in.txt"
     source.write_text("3\n1 2\n2 3\n")
     code, out, _ = run_cli(capsys, ["stats", "--wiener", "--spectrum", str(source)])
     stats = json.loads(out)
     assert stats["wiener"] == 4
     assert len(stats["spectrum"]) == 3
+    # past the budget, a flag still names a bad line first: a malformed one,
+    # and a pair repeated in a file out of order, which shows only at its
+    # end; and it refuses a vertex count past memory before the counts
+    # take O(n) memory
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "3")
+    n = 10**17
+    for flags in (["--wiener"], ["--spectrum"], ["--wiener", "--spectrum"]):
+        for text, err in (("4\n1 2\n2 3\n3 4\n1 x\n", "line 5: bad vertex pair '1' 'x'"),
+                          ("4\n3 4\n1 2\n2 3\n2 1\n", "line 5: duplicate pair (1, 2)")):
+            assert run_cli(capsys, ["stats", *flags], stdin=text, monkeypatch=monkeypatch) == (2, "", f"error: {err}\n")
+        what = f"the Wiener index of n={n} vertices" if "--wiener" in flags else f"matrix dimension {n}"
+        err = f"error: {what} exceeds the budget 3; raise SYMTENSOR_MAX_N to override\n"
+        assert run_cli(capsys, ["stats", *flags], stdin=f"{n}\n1 2\n", monkeypatch=monkeypatch) == (2, "", err)
 
 
 def test_dot_command(tmp_path, capsys):
@@ -660,18 +673,23 @@ def test_streamed_stats_equals_the_whole_file_stats_in_any_block_size(capsys, mo
 
     rng = random.Random(8191)
     files = [_random_graph_file(rng) for _ in range(200)]
+    # the files take the four flag sets in turn
+    flags = [[[], ["--wiener"], ["--spectrum"], ["--wiener", "--spectrum"]][i % 4] for i in range(len(files))]
     want = []
-    for text in files:
+    for text, argv in zip(files, flags):
         try:
-            want.append((0, write_stats_json(parse_graph(text)), ""))
+            want.append((0, write_stats_json(parse_graph(text), "--wiener" in argv, "--spectrum" in argv), ""))
         except GraphFormatError as exc:
             want.append((2, "", f"error: {exc}\n"))
     errors = [w for w in want if w[0]]
     assert 20 < len(errors) < 100 and all(err.startswith("error: line ") for _, _, err in errors)
     assert len({json.loads(out)["components"] for code, out, _ in want if not code}) > 3
+    # a connected graph's Wiener index, and a disconnected graph's null
+    assert {json.loads(out)["wiener"] is None for (code, out, _), argv in zip(want, flags)
+            if not code and "--wiener" in argv} == {True, False}
     _block_sizes(monkeypatch, size)
-    for text, expected in zip(files, want):
-        assert run_cli(capsys, ["stats"], stdin=text, monkeypatch=monkeypatch) == expected, text
+    for text, argv, expected in zip(files, flags, want):
+        assert run_cli(capsys, ["stats", *argv], stdin=text, monkeypatch=monkeypatch) == expected, (argv, text)
 
 
 def _peak_mb(argv, stdout=None) -> float:

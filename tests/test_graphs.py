@@ -74,6 +74,23 @@ def test_numpy_integer_weights_are_stored_as_python_ints():
         assert write_graph(g) == "2\n1 2 1\n2 2 2\n"
 
 
+def test_numpy_float_weights_are_stored_as_python_floats():
+    # the finiteness check read only Python floats, so an np.float32 inf was
+    # kept and written as a token that the parser refuses
+    from symgraph.fileio import write_graph
+
+    with pytest.raises(ValueError) as want:
+        WeightedGraph(2, {(1, 2): float("inf")})
+    for weight in (np.float32("inf"), np.float16("inf"), np.float32("nan"), np.float16("-inf")):
+        with pytest.raises(ValueError) as exc:
+            WeightedGraph(2, {(1, 2): weight})
+        assert str(exc.value) == str(want.value).replace("inf", str(float(weight))), weight
+    g = WeightedGraph(2, {(1, 2): np.float32(0.5)})
+    assert type(g.weight(1, 2)) is float and g.weight(1, 2) == 0.5
+    assert write_graph(g) == "2\n1 2 0.5\n"
+    assert write_graph(WeightedGraph(2, {(1, 2): np.float32(0.1)})) == "2\n1 2 0.10000000149011612\n"
+
+
 def test_bool_weights_are_stored_as_python_ints():
     # a bool weight powered exactly, but entry_permanent read it as a float
     # and write_graph refused it
