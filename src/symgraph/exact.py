@@ -1,12 +1,13 @@
 """Exact real weights of the form q * sqrt(r).
 
-Power matrices of 0/1 graphs have entries that are rational multiples of a
-single square root, so this tiny number type is enough to compare them
-bit-for-bit.  Values are normalized to a canonical form: ``q`` rational and
-``r`` a square-free positive integer (``r == 1`` for plain rationals, and
-``q == 0, r == 1`` for zero).  Multiplication is closed; addition is closed
-only when both operands share the same square-root class, and otherwise
-degrades to an ordinary float carried with ``exact=False``.
+An entry of the k-th power of a rational graph is a rational times one
+square root, S_ij / (L^k * sqrt(D_i * D_j)) with D the orbit sizes, so this
+value type is enough to compare such entries bit for bit.  It is built,
+compared, hashed and printed, and carries no arithmetic.  Values are
+normalized to a canonical form: ``q`` rational and ``r`` a square-free
+positive integer (``r == 1`` for plain rationals, and ``q == 0, r == 1`` for
+zero), so that equal values have equal fields, and a rational one equals and
+hashes as the int or ``Fraction`` it is.
 
 Normalization factors ``r`` by trial division, which is fine for the orbit
 counts this package produces (at most (k!)^2 for small k) but would crawl on
@@ -49,15 +50,10 @@ def sqrt_token(a: int, b: int, r: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class ExactWeight:
-    """Canonical q * sqrt(r).  Construct via :meth:`make` or the helpers.
-
-    When ``exact`` is False the value went through a float fallback; ``q``
-    then holds the exact binary value of that float and ``r`` is 1.
-    """
+    """Canonical q * sqrt(r).  Construct via :meth:`make` or the helpers."""
 
     q: Fraction
     r: int
-    exact: bool = True
 
     @staticmethod
     def make(q, r=1) -> "ExactWeight":
@@ -81,78 +77,27 @@ class ExactWeight:
     def sqrt(r) -> "ExactWeight":
         return ExactWeight.make(1, r)
 
-    @staticmethod
-    def inexact(value: float) -> "ExactWeight":
-        return ExactWeight(Fraction(value), 1, exact=False)
-
     def __float__(self) -> float:
         if self.r == 1:
             return float(self.q)
         return float(self.q) * self.r**0.5
-
-    @property
-    def is_zero(self) -> bool:
-        return self.q == 0
 
     def __bool__(self) -> bool:
         return self.q != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactWeight):
-            return (self.q, self.r, self.exact) == (other.q, other.r, other.exact)
+            return (self.q, self.r) == (other.q, other.r)
         if isinstance(other, (int, Fraction)):
-            return self.exact and self.r == 1 and self.q == other
+            return self.r == 1 and self.q == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.q, self.r, self.exact))
-
-    def __neg__(self) -> "ExactWeight":
-        return ExactWeight(-self.q, self.r, self.exact)
-
-    def __mul__(self, other) -> "ExactWeight":
-        if isinstance(other, (int, Fraction)):
-            other = ExactWeight.of(other)
-        if not isinstance(other, ExactWeight):
-            return NotImplemented
-        if not (self.exact and other.exact):
-            return ExactWeight.inexact(float(self) * float(other))
-        if self.q == 0 or other.q == 0:
-            return ExactWeight(Fraction(0), 1)
-        # r1, r2 square-free: their product has square part gcd(r1, r2)^2
-        g = math.gcd(self.r, other.r)
-        return ExactWeight(self.q * other.q * g, (self.r // g) * (other.r // g))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other) -> "ExactWeight":
-        if isinstance(other, (int, Fraction)):
-            other = ExactWeight.of(other)
-        if not isinstance(other, ExactWeight):
-            return NotImplemented
-        if self.exact and other.exact:
-            if self.q == 0:
-                return other
-            if other.q == 0:
-                return self
-            if self.r == other.r:
-                s = self.q + other.q
-                return ExactWeight(s, self.r) if s else ExactWeight(Fraction(0), 1)
-        # incompatible square-root classes: exactness is lost and recorded
-        return ExactWeight.inexact(float(self) + float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ExactWeight":
-        if isinstance(other, (int, Fraction)):
-            other = ExactWeight.of(other)
-        if not isinstance(other, ExactWeight):
-            return NotImplemented
-        return self + (-other)
+        # a rational hashes as the int or Fraction it equals
+        return hash(self.q) if self.r == 1 else hash((self.q, self.r))
 
     def __str__(self) -> str:
-        return sqrt_token(self.q.numerator, self.q.denominator, self.r) if self.exact else repr(float(self.q))
+        return sqrt_token(self.q.numerator, self.q.denominator, self.r)
 
     def __repr__(self) -> str:
-        flag = "" if self.exact else ", exact=False"
-        return f"ExactWeight({self.q!r}, {self.r}{flag})"
+        return f"ExactWeight({self.q!r}, {self.r})"

@@ -573,13 +573,18 @@ def stats_json(n: int, blocks: Iterable[tuple], wiener: bool = False, spectrum: 
     flag keeps the blocks, joined once for the eigensolver and the BFS
     (O(n^2) time on a path); past SYMTENSOR_MAX_N vertices it refuses after
     the last block, so that a bad line is named first, but before the
-    counts' O(n) arrays."""
+    counts' O(n) arrays.  Those arrays are charged against the budget's bytes
+    after the flag's checks, so before the first block without a flag: per
+    vertex the forest, the int64 degrees, a block's two int64
+    ``np.bincount`` and the degree list's pointer."""
     if wiener or spectrum:
         blocks = list(blocks)
         if wiener:
             _check_budget(f"the Wiener index of n={n} vertices", n)
         if spectrum:
             _check_budget(f"matrix dimension {n}", n)
+    per_vertex = np.min_scalar_type(-n - 1).itemsize + 8 + 2 * 8 + 8
+    _check_budget(f"the stats of n={n} vertices", held=(n + 1) * per_vertex)
     stats = {**analysis.support_stats_blocks(n, (block[:2] for block in blocks)), "wiener": None}
     if wiener or spectrum:
         _, u, v, w = _joined(iter([n, *blocks]))

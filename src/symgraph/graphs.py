@@ -53,11 +53,11 @@ class WeightedGraph:
             if isinstance(w, float) and not math.isfinite(w):
                 raise ValueError(f"weight for ({u}, {v}) is not finite: {w}")
             key = (u, v) if u <= v else (v, u)
-            if key in store and store[key] != w:
+            if store.get(key, w) != w:
                 raise ValueError(f"conflicting weights for pair {key}")
-            if w != 0:
-                store[key] = w
-        self._weights = store
+            store[key] = w
+        # a pair given weight 0 is no edge, but conflicts with a nonzero one in either order
+        self._weights = {key: w for key, w in store.items() if w != 0} if 0 in store.values() else store
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:

@@ -455,10 +455,42 @@ def test_spectrum_past_the_size_budget_exits_2_before_building_the_matrix(capsys
     assert peak < 50 * 2**20, peak  # the dense matrix would take 8 n^2 bytes
 
 
+def test_plain_stats_past_the_size_budget_exits_2_before_the_counts(capsys, monkeypatch):
+    import tracemalloc
+
+    from symgraph.fileio import write_graph
+
+    monkeypatch.delenv("SYMTENSOR_MAX_N", raising=False)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        code, out, err = run_cli(capsys, ["stats"], stdin="1000000000\n1 2\n", monkeypatch=monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert err.startswith("error: the stats of n=1000000000 vertices would take about ")
+    assert peak < 10 * 2**20, peak  # the counts' arrays would take tens of GB
+    # SYMTENSOR_MAX_N=100 allows 80,000 bytes: 34 a vertex (an int16 forest) admit
+    # n=2,000 and refuse n=3,000
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "100")
+    code, out, err = run_cli(capsys, ["stats"], stdin="2000\n1 2\n", monkeypatch=monkeypatch)
+    assert (code, err) == (0, "") and json.loads(out)["components"] == 1999
+    code, out, err = run_cli(capsys, ["stats"], stdin="3000\n1 2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "") and err == ("error: the stats of n=3000 vertices would take about 102,034 bytes, "
+                                              "more than the 80,000 of an int64 core at the budget 100; "
+                                              "raise SYMTENSOR_MAX_N to override\n")
+    # the default budget admits the 5,000-vertex path, whose bytes are as before
+    monkeypatch.delenv("SYMTENSOR_MAX_N")
+    code, out, err = run_cli(capsys, ["stats"], stdin=write_graph(path(5000)), monkeypatch=monkeypatch)
+    degrees = ", ".join(["1", *["2"] * 4998, "1"])
+    assert (code, out, err) == (0, f'{{"n": 5000, "edges": 4999, "loops": 0, "components": 1, '
+                                   f'"degrees": [{degrees}], "wiener": null}}\n', "")
+
+
 @pytest.mark.parametrize("argv", [["stats"], ["stats", "--wiener"]], ids=" ".join)
 def test_a_vertex_count_past_memory_exits_2_with_one_error_line(capsys, monkeypatch, argv):
-    # n = 10^17 asks for 800 PB, more than any address space: numpy raises
-    # MemoryError at once, and the exit code 1 is kept for failed checks
+    # n = 10^17 would ask for 800 PB, more than any address space: the size
+    # budget refuses it with exit 2, kept apart from the 1 of failed checks
     code, out, err = run_cli(capsys, argv, stdin="100000000000000000\n1 2\n", monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err

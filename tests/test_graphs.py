@@ -41,6 +41,15 @@ def test_conflicting_duplicate_rejected():
     assert g.weight(1, 2) == 1
 
 
+@pytest.mark.parametrize("second", [(1, 2), (2, 1)])
+def test_a_zero_weight_conflicts_in_either_order(second):
+    for pairs in ([(1, 2, 5), (*second, 0)], [(1, 2, 0), (*second, 5)]):
+        with pytest.raises(ValueError, match="conflicting weights for pair"):
+            WeightedGraph(2, pairs)
+    # a zero given twice, or as 0 and 0.0, is no conflict and no edge
+    assert WeightedGraph(2, [(1, 2, 0), (*second, 0.0)]).pair_count() == 0
+
+
 def test_validation():
     with pytest.raises(ValueError):
         WeightedGraph(0)
