@@ -3,9 +3,9 @@
 The measured side lives here: connected components, loop and edge counts,
 degrees, and, by one BFS on the unweighted support, bipartiteness and the
 Wiener index.
-Each measure has a body on the pairs (u, v) as arrays, which the counts of
-:func:`support_stats_blocks` take in blocks as they arrive, so a graph
-file's stats need no :class:`WeightedGraph`.
+Each measure reads its pairs as blocks, tuples (u, v[, w]) of 1-based
+arrays with u <= v, as the graph file parser yields them (a graph's pairs
+are one block), so a graph file's stats need no :class:`WeightedGraph`.
 The predicting side is a catalog of closed forms for the named families,
 each addressable through :func:`predict`.
 
@@ -85,10 +85,11 @@ def _merge(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
         _roots(parent, touched)
 
 
-def _component_ids(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _component_ids(n: int, blocks: Iterable[tuple]) -> np.ndarray:
     """Component id of each vertex 1..n, numbered from 0 by smallest vertex."""
     parent = np.arange(n + 1)
-    _merge(parent, u, v)
+    for u, v, *_ in blocks:
+        _merge(parent, u, v)
     _, first, inverse = np.unique(_roots(parent, np.arange(1, n + 1)), return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))
@@ -100,14 +101,13 @@ def _degrees(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.bincount(u, minlength=n + 1) + np.bincount(v[u != v], minlength=n + 1)
 
 
-def support_stats_blocks(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict[str, object]:
-    """n, edge, loop and component counts and the degrees, in that key order,
-    of an n-vertex graph whose weighted pairs are the distinct (u, v), u <= v,
-    given as blocks of (u, v) arrays and counted as the blocks arrive."""
+def support_stats_blocks(n: int, blocks: Iterable[tuple]) -> dict[str, object]:
+    """n, edge, loop and component counts and the degrees, in that key order, of an
+    n-vertex graph whose distinct weighted pairs (u, v) are counted as the blocks arrive."""
     parent = np.arange(n + 1, dtype=np.min_scalar_type(-n - 1))  # n+1 one-vertex trees
     degrees = np.zeros(n + 1, dtype=np.int64)
     edges = loops = 0
-    for u, v in blocks:
+    for u, v, *_ in blocks:
         between = u != v
         edges += len(u)
         loops += len(u) - int(np.count_nonzero(between))
@@ -119,7 +119,7 @@ def support_stats_blocks(n: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
 
 def components(graph: WeightedGraph) -> ComponentStructure:
     """Connected components of the unweighted support; loops are ignored."""
-    ids = _component_ids(graph.n, *edge_arrays(graph)[:2])
+    ids = _component_ids(graph.n, [edge_arrays(graph)])
     sizes = np.bincount(ids)
     by_component = (np.argsort(ids, kind="stable") + 1).tolist()
     bounds = np.cumsum(sizes).tolist()
@@ -157,7 +157,7 @@ def edge_count(graph: WeightedGraph) -> int:
 def is_bipartite(graph: WeightedGraph) -> bool:
     """Two-colorability of the support: every edge joins BFS depths of
     different parity; any loop is an odd cycle, so False."""
-    adj = _adjacency_lists(graph.n, *edge_arrays(graph)[:2])
+    adj = _adjacency_lists(graph.n, [edge_arrays(graph)])
     depth = [-1] * (graph.n + 1)
     for v in range(1, graph.n + 1):
         if depth[v] < 0:
@@ -165,12 +165,13 @@ def is_bipartite(graph: WeightedGraph) -> bool:
     return all((depth[u] + depth[v]) % 2 for u, v, _ in graph.edges())
 
 
-def _adjacency_lists(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:
+def _adjacency_lists(n: int, blocks: Iterable[tuple]) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in zip(u.tolist(), v.tolist()):
-        if a != b:
-            adj[a].append(b)
-            adj[b].append(a)
+    for u, v, *_ in blocks:
+        for a, b in zip(u.tolist(), v.tolist()):
+            if a != b:
+                adj[a].append(b)
+                adj[b].append(a)
     return adj
 
 
@@ -203,17 +204,17 @@ class DisconnectedGraphError(ValueError):
 def wiener_index(graph: WeightedGraph) -> int:
     """Sum of hop-count distances over unordered distinct vertex pairs:
     :func:`wiener_index_edges` of the graph's pairs."""
-    return wiener_index_edges(graph.n, *edge_arrays(graph)[:2])
+    return wiener_index_edges(graph.n, [edge_arrays(graph)])
 
 
-def wiener_index_edges(n: int, u: np.ndarray, v: np.ndarray) -> int:
-    """The Wiener index of the n-vertex graph whose weighted pairs are (u, v),
-    by BFS on the unweighted support.  Disconnected input raises
-    :class:`DisconnectedGraphError` with the component count."""
-    count = int(_component_ids(n, u, v).max()) + 1
+def wiener_index_edges(n: int, blocks: Sequence[tuple]) -> int:
+    """The Wiener index of the n-vertex graph whose weighted pairs are the
+    (u, v) of ``blocks`` (read twice), by BFS on the unweighted support.
+    Disconnected input raises :class:`DisconnectedGraphError` with its count."""
+    count = int(_component_ids(n, blocks).max()) + 1
     if count > 1:
         raise DisconnectedGraphError(count)
-    return _distance_sum(n, u, v)
+    return _distance_sum(n, blocks)
 
 
 def wiener_within_components(graph: WeightedGraph) -> int:
@@ -222,14 +223,14 @@ def wiener_within_components(graph: WeightedGraph) -> int:
     A convenience beyond the plain Wiener index, which is undefined for
     disconnected graphs.
     """
-    return _distance_sum(graph.n, *edge_arrays(graph)[:2])
+    return _distance_sum(graph.n, [edge_arrays(graph)])
 
 
-def _distance_sum(n: int, u: np.ndarray, v: np.ndarray) -> int:
+def _distance_sum(n: int, blocks: Iterable[tuple]) -> int:
     """Sum of the hop counts between the vertices of each component, by BFS
     from every vertex.  One distance list serves every source, and each BFS
     resets only the entries it reached, so a source costs what it reaches."""
-    adj = _adjacency_lists(n, u, v)
+    adj = _adjacency_lists(n, blocks)
     dist = [-1] * (n + 1)
     total = 0
     for s in range(1, n + 1):

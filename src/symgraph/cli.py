@@ -6,9 +6,9 @@ compose in pipelines, e.g.::
 
     symgraph family path 3 | symgraph power -k 2 | symgraph stats
 
-A command that reads a graph file holds it as the arrays (n, u, v, w) of
-``fileio.read_edges``, but for ``stats``, which counts its blocks as they
-arrive and joins them only for ``--wiener`` or ``--spectrum``.
+``stats`` and ``spectrum`` read a graph file as the parser's blocks
+(``fileio.read_blocks``), ``power`` and ``dot`` as the arrays (n, u, v, w)
+that ``fileio.read_edges`` joins from them.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .fileio import (
     GraphFormatError,
     dot_blocks,
     edge_text_blocks,
+    read_blocks,
     read_edges,
-    read_stats_json,
+    stats_json,
     write_graph,
 )
 from .graphs import FAMILY_NAMES, family
@@ -67,14 +68,17 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    spectrum = eigenvalues_edges(*_load_edges(args.input))
+    with _open_input(args.input) as handle:
+        n, *blocks = read_blocks(handle)  # the whole file first: a bad line is named before a budget refusal
+    spectrum = eigenvalues_edges(n, blocks)
     sys.stdout.write("".join(f"{v!r}\n" for v in spectrum.values))
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     with _open_input(args.input) as handle:
-        sys.stdout.write(read_stats_json(handle, args.wiener, args.spectrum))
+        blocks = read_blocks(handle)
+        sys.stdout.write(stats_json(next(blocks), blocks, args.wiener, args.spectrum))
     return 0
 
 

@@ -16,10 +16,10 @@ text as one code per character, finds tokens and lines from masks, and
 converts each distinct token once, into one weight column per block typed
 once.  One writer, for graph files and DOT, gathers each block's bytes from
 a table of label and distinct weight texts.
+``symgraph stats`` and ``spectrum`` read the blocks of :func:`read_blocks`;
 :func:`parse_edges` (or :func:`read_edges`, from a handle) and
-:func:`write_edges` join the blocks into whole arrays (n, u, v, w) and text;
-``symgraph power`` and ``dot`` stream their output, ``stats`` its input,
-joined only for ``--wiener`` or ``--spectrum``.
+:func:`write_edges` join them into whole arrays (n, u, v, w) and text,
+and ``power`` and ``dot`` stream their output.
 
 Weights are written as the shortest decimal that round-trips the float, so
 parse(write(g)) reproduces g up to that formatting.  ``power --exact`` of
@@ -445,9 +445,14 @@ def parse_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     return _joined(_edge_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS)))
 
 
+def read_blocks(handle: TextIO) -> Iterator:
+    """n, then the (u, v, w) blocks of :func:`_edge_blocks`, read from a text handle."""
+    return _edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
+
+
 def read_edges(handle: TextIO) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`parse_edges` of a graph file read from a text handle a block at a time."""
-    return _joined(_edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), "")))
+    """:func:`parse_edges` of a graph file read from a text handle: its blocks joined."""
+    return _joined(read_blocks(handle))
 
 
 def _joined(blocks: Iterator) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -570,13 +575,12 @@ def stats_json(n: int, blocks: Iterable[tuple], wiener: bool = False, spectrum: 
     blocks of 1-based (u, v, w) arrays, u <= v: the counts of
     :func:`analysis.support_stats_blocks`, then ``wiener``, null unless
     requested on a connected graph, then ``spectrum`` when requested.  A
-    flag keeps the blocks, joined once for the eigensolver and the BFS
-    (O(n^2) time on a path); past SYMTENSOR_MAX_N vertices it refuses after
-    the last block, so that a bad line is named first, but before the
-    counts' O(n) arrays.  Those arrays are charged against the budget's bytes
-    after the flag's checks, so before the first block without a flag: per
-    vertex the forest, the int64 degrees, a block's two int64
-    ``np.bincount`` and the degree list's pointer."""
+    flag keeps the blocks for the eigensolver's matrix and the BFS (O(n^2)
+    time on a path) and refuses past SYMTENSOR_MAX_N vertices after the
+    last block, so that a bad line is named first.  The counts' O(n) arrays
+    are charged against the budget's bytes after the flag's checks, so
+    before the first block without a flag: per vertex the forest, the
+    int64 degrees, a block's two int64 ``np.bincount`` and the degree list's pointer."""
     if wiener or spectrum:
         blocks = list(blocks)
         if wiener:
@@ -585,14 +589,11 @@ def stats_json(n: int, blocks: Iterable[tuple], wiener: bool = False, spectrum: 
             _check_budget(f"matrix dimension {n}", n)
     per_vertex = np.min_scalar_type(-n - 1).itemsize + 8 + 2 * 8 + 8
     _check_budget(f"the stats of n={n} vertices", held=(n + 1) * per_vertex)
-    stats = {**analysis.support_stats_blocks(n, (block[:2] for block in blocks)), "wiener": None}
-    if wiener or spectrum:
-        _, u, v, w = _joined(iter([n, *blocks]))
-        blocks.clear()  # the joined arrays hold every pair
-        if spectrum:
-            stats["spectrum"] = list(eigenvalues_edges(n, u, v, w).values)
-        if wiener and stats["components"] == 1:
-            stats["wiener"] = analysis.wiener_index_edges(n, u, v)
+    stats = {**analysis.support_stats_blocks(n, blocks), "wiener": None}
+    if spectrum:
+        stats["spectrum"] = list(eigenvalues_edges(n, blocks).values)
+    if wiener and stats["components"] == 1:
+        stats["wiener"] = analysis.wiener_index_edges(n, blocks)
     return json.dumps(stats) + "\n"
 
 
@@ -600,10 +601,3 @@ def write_stats_json(graph: WeightedGraph, wiener: bool = False, spectrum: bool 
     """Summary statistics as JSON with a fixed key order:
     :func:`stats_json` of the graph's pairs."""
     return stats_json(graph.n, [edge_arrays(graph)], wiener, spectrum)
-
-
-def read_stats_json(handle: TextIO, wiener: bool = False, spectrum: bool = False) -> str:
-    """:func:`stats_json` of the graph file read from a text handle a block
-    at a time."""
-    blocks = _edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
-    return stats_json(next(blocks), blocks, wiener, spectrum)

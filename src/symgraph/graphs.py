@@ -53,9 +53,10 @@ class WeightedGraph:
             if isinstance(w, float) and not math.isfinite(w):
                 raise ValueError(f"weight for ({u}, {v}) is not finite: {w}")
             key = (u, v) if u <= v else (v, u)
-            if store.get(key, w) != w:
+            old = store.setdefault(key, w)
+            # a nonzero int and an equal float conflict too: the type picks the power's mode
+            if old != w or (w and isinstance(old, float) != isinstance(w, float)):
                 raise ValueError(f"conflicting weights for pair {key}")
-            store[key] = w
         # a pair given weight 0 is no edge, but conflicts with a nonzero one in either order
         self._weights = {key: w for key, w in store.items() if w != 0} if 0 in store.values() else store
         if labels is not None:
@@ -100,7 +101,7 @@ class WeightedGraph:
 
     def weight_rows(self) -> list[list[Weight]]:
         """Dense adjacency as nested lists, preserving exact weight types."""
-        return dense_matrix(self.n, *edge_arrays(self), object).tolist()
+        return dense_matrix(self.n, [edge_arrays(self)], object).tolist()
 
     @staticmethod
     def from_matrix(matrix, labels: Sequence[str] | None = None) -> "WeightedGraph":
@@ -148,22 +149,23 @@ def edge_arrays(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return u, v, np.array([graph._weights[p] for p in pairs], dtype=object)
 
 
-def dense_matrix(n: int, u: np.ndarray, v: np.ndarray, w, dtype) -> np.ndarray:
+def dense_matrix(n: int, blocks: Iterable[tuple], dtype) -> np.ndarray:
     """The symmetric n x n matrix in ``dtype`` with w at each 1-based (u, v)
-    and (v, u), zero elsewhere (Python int 0 in an object matrix)."""
+    and (v, u) of the blocks (u, v, w), zero elsewhere (Python int 0 in an object matrix)."""
     a = np.zeros((n, n), dtype=dtype)
-    i, j = u - 1, v - 1
-    try:
-        a[i, j] = w
-    except OverflowError:  # an int weight past the float64 range
-        raise ValueError("a weight is past the float64 range") from None
-    a[j, i] = w
+    for u, v, w in blocks:
+        i, j = u - 1, v - 1
+        try:
+            a[i, j] = w
+        except OverflowError:  # an int weight past the float64 range
+            raise ValueError("a weight is past the float64 range") from None
+        a[j, i] = w
     return a
 
 
 def adjacency_matrix(graph: WeightedGraph) -> np.ndarray:
     """Dense symmetric n x n float adjacency matrix of the graph."""
-    return dense_matrix(graph.n, *edge_arrays(graph), np.float64)
+    return dense_matrix(graph.n, [edge_arrays(graph)], np.float64)
 
 
 # -- named families ---------------------------------------------------------

@@ -696,7 +696,7 @@ def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method:
         orbit_size(VertexMultiset(first, n).multiplicity())  # raises CountLimitError
     exact = all_rational(map(w.item, range(len(w))))  # Python numbers, read lazily
     if not exact:
-        a = dense_matrix(n, u, v, w, np.float64)
+        a = dense_matrix(n, [(u, v, w)], np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # dense_matrix refused any int past float64
             bound = _core_bound(k, n, u, v, w.astype(np.float64, copy=False), d_max)
         return _Scaled(a, False, "float64", 1, tuples, sizes, bound)
@@ -705,7 +705,7 @@ def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method:
     w = w * scale // 1  # Fraction // 1 is an int
     bound = _core_bound(k, n, u, v, w, d_max)
     path = "int64" if bound < _INT64_SAFE else "object"
-    return _Scaled(dense_matrix(n, u, v, w, path), True, path, scale**k, tuples, sizes, bound)
+    return _Scaled(dense_matrix(n, [(u, v, w)], path), True, path, scale**k, tuples, sizes, bound)
 
 
 def _object_bytes(s: _Scaled, n: int, k: int, method: str, whole: bool) -> int:

@@ -101,12 +101,12 @@ def eigenvalues_symmetric(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     return _solved(gap, tol)
 
 
-def eigenvalues_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Spectrum:
+def eigenvalues_edges(n: int, blocks: Iterable[tuple]) -> Spectrum:
     """The eigenvalues of the n-vertex graph with weight w at each 1-based
-    pair (u, v), refused past the budget before the matrix is built.  That
-    matrix is symmetric as built, so eigvalsh solves it as it is."""
+    pair (u, v) of the blocks (u, v, w), refused past the budget before the
+    matrix is built.  It is symmetric as built, so eigvalsh solves it as it is."""
     _check_budget(f"matrix dimension {n}", n)
-    return _solved(dense_matrix(n, u, v, w, np.float64), DEFAULT_TOL)
+    return _solved(dense_matrix(n, blocks, np.float64), DEFAULT_TOL)
 
 
 def _solved(a: np.ndarray, tol: float) -> Spectrum:

@@ -184,16 +184,16 @@ def test_stats_flags(tmp_path, capsys, monkeypatch):
     # past the budget, a flag still names a bad line first: a malformed one,
     # and a pair repeated in a file out of order, which shows only at its
     # end; and it refuses a vertex count past memory before the counts
-    # take O(n) memory
+    # take O(n) memory; spectrum, which holds the same blocks, too
     monkeypatch.setenv("SYMTENSOR_MAX_N", "3")
     n = 10**17
-    for flags in (["--wiener"], ["--spectrum"], ["--wiener", "--spectrum"]):
+    for argv in (["stats", "--wiener"], ["stats", "--spectrum"], ["stats", "--wiener", "--spectrum"], ["spectrum"]):
         for text, err in (("4\n1 2\n2 3\n3 4\n1 x\n", "line 5: bad vertex pair '1' 'x'"),
                           ("4\n3 4\n1 2\n2 3\n2 1\n", "line 5: duplicate pair (1, 2)")):
-            assert run_cli(capsys, ["stats", *flags], stdin=text, monkeypatch=monkeypatch) == (2, "", f"error: {err}\n")
-        what = f"the Wiener index of n={n} vertices" if "--wiener" in flags else f"matrix dimension {n}"
+            assert run_cli(capsys, argv, stdin=text, monkeypatch=monkeypatch) == (2, "", f"error: {err}\n")
+        what = f"the Wiener index of n={n} vertices" if "--wiener" in argv else f"matrix dimension {n}"
         err = f"error: {what} exceeds the budget 3; raise SYMTENSOR_MAX_N to override\n"
-        assert run_cli(capsys, ["stats", *flags], stdin=f"{n}\n1 2\n", monkeypatch=monkeypatch) == (2, "", err)
+        assert run_cli(capsys, argv, stdin=f"{n}\n1 2\n", monkeypatch=monkeypatch) == (2, "", err)
 
 
 def test_dot_command(tmp_path, capsys):
@@ -795,6 +795,24 @@ def test_commands_reading_a_dense_power_run_in_bounded_memory(tmp_path):
     peaks = {" ".join(argv): _peak_mb([shim, *argv, str(power)])
              for argv in (["spectrum"], ["dot"], ["power", "-k", "1"], ["stats", "--spectrum"])}
     assert all(mb <= bare + 60 for mb in peaks.values()), (bare, peaks)
+
+
+def test_spectrum_and_the_stats_flags_read_the_parser_blocks_unjoined(tmp_path):
+    # spectrum and stats --spectrum scatter the parser's blocks of the
+    # complete_loops 8 k=5 power file (314,028 pairs) into the 792 x 792
+    # matrix, and stats --wiener builds its adjacency lists from them too,
+    # with no joined copy of the file: at most 20 MB (32 MB with both flags)
+    # above a bare import of the CLI, where the joined arrays took 24-25 MB
+    # (48 MB)
+    source, power = tmp_path / "family.txt", tmp_path / "power.txt"
+    assert main(["family", "complete_loops", "8", "-o", str(source)]) == 0
+    assert main(["power", "-k", "5", "-o", str(power), str(source)]) == 0
+    shim = "import sys; from symgraph.cli import main; sys.exit(main())"
+    bare = _peak_mb(["import symgraph.cli"])
+    peaks = {" ".join(argv): _peak_mb([shim, *argv, str(power)])
+             for argv in (["spectrum"], ["stats", "--spectrum"], ["stats", "--wiener", "--spectrum"])}
+    bounds = {"spectrum": 20, "stats --spectrum": 20, "stats --wiener --spectrum": 32}
+    assert all(peaks[argv] <= bare + bounds[argv] for argv in bounds), (bare, peaks)
 
 
 def test_first_power_of_a_long_path_holds_one_n_by_n_matrix(tmp_path):

@@ -50,6 +50,18 @@ def test_a_zero_weight_conflicts_in_either_order(second):
     assert WeightedGraph(2, [(1, 2, 0), (*second, 0.0)]).pair_count() == 0
 
 
+@pytest.mark.parametrize("second", [(1, 2), (2, 1)])
+def test_an_int_and_an_equal_float_conflict_in_either_order(second):
+    # the pair's type picks the power's mode, so the order of the two must not
+    for first, then in ((1, 1.0), (1.0, 1), (Fraction(3, 2), 1.5), (1.5, Fraction(3, 2))):
+        with pytest.raises(ValueError, match="conflicting weights for pair"):
+            WeightedGraph(2, [(1, 2, first), (*second, then)])
+    # exact repeats, and an int against an equal Fraction, are no conflict
+    for first, then in ((1, 1), (1.0, 1.0), (2, Fraction(2)), (Fraction(2), 2)):
+        g = WeightedGraph(2, [(1, 2, first), (*second, then)])
+        assert g.weight(1, 2) == then and g.is_rational == (type(then) is not float)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         WeightedGraph(0)

@@ -113,12 +113,18 @@ def test_the_solver_gets_the_halved_matrix_in_any_block_size(monkeypatch, entrie
             a[-1, 0] += np.abs(a).max()
             with pytest.raises(ValueError, match="not symmetric"):
                 eigenvalues_symmetric(a)
-    # from edge arrays eigvalsh gets the matrix as built, which is symmetric
+    # from blocks of edge arrays eigvalsh gets the matrix as built, which is
+    # symmetric: from one block, and from the same 45 pairs in uneven blocks
     u, v = np.triu_indices(9)
     w = rng.normal(size=len(u))
-    a = dense_matrix(9, u + 1, v + 1, w, np.float64)
-    assert spectra.eigenvalues_edges(9, u + 1, v + 1, w).values == eigenvalues_symmetric(a).values
+    a = dense_matrix(9, [(u + 1, v + 1, w)], np.float64)
+    assert spectra.eigenvalues_edges(9, [(u + 1, v + 1, w)]).values == eigenvalues_symmetric(a).values
     assert solved[-2].tobytes() == a.tobytes() == solved[-1].tobytes()
+    cuts = [0, 1, 3, 10, 11, 29, 45]
+    blocks = [(u[lo:hi] + 1, v[lo:hi] + 1, w[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    assert dense_matrix(9, blocks, np.float64).tobytes() == a.tobytes()
+    assert spectra.eigenvalues_edges(9, iter(blocks)).values == eigenvalues_symmetric(a).values
+    assert solved[-1].tobytes() == a.tobytes()
 
 
 def test_eigenvalue_trace_identity():
