@@ -6,9 +6,9 @@ compose in pipelines, e.g.::
 
     symgraph family path 3 | symgraph power -k 2 | symgraph stats
 
-``stats`` and ``spectrum`` read a graph file as the parser's blocks
-(``fileio.read_blocks``), ``power`` and ``dot`` as the arrays (n, u, v, w)
-that ``fileio.read_edges`` joins from them.
+Every command that reads a graph file reads ``fileio.read_blocks``: ``stats``
+counts the blocks as they arrive, ``dot`` joins them, and ``power`` and
+``spectrum`` hold them all, so a bad line is named before a budget refusal.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .fileio import (
     dot_blocks,
     edge_text_blocks,
     read_blocks,
-    read_edges,
     stats_json,
     write_graph,
 )
@@ -49,11 +48,6 @@ def _write_output(texts: Iterable[str], path: str | None) -> None:
         handle.writelines(texts)
 
 
-def _load_edges(path: str):
-    with _open_input(path) as handle:
-        return read_edges(handle)
-
-
 def _cmd_family(args: argparse.Namespace) -> int:
     graph = family(args.name, *args.params)
     _write_output([write_graph(graph)], args.output)
@@ -61,9 +55,11 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    dim, blocks = sym_power_upper_blocks(*_load_edges(args.input), args.k, method=args.method, order=args.order,
-                                         exact=args.exact)
-    _write_output(edge_text_blocks(dim, blocks, range(1, dim + 1)), args.output)  # 0-based rows and cols
+    with _open_input(args.input) as handle:
+        n, *blocks = read_blocks(handle)  # the whole file first: a bad line is named before a budget refusal
+    dim, pairs = sym_power_upper_blocks(n, blocks, args.k, method=args.method, order=args.order, exact=args.exact)
+    del blocks  # the pairs are in the scaled matrix now
+    _write_output(edge_text_blocks(dim, pairs, range(1, dim + 1)), args.output)  # 0-based rows and cols
     return 0
 
 
@@ -83,7 +79,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    _write_output(dot_blocks(*_load_edges(args.input)), None)
+    with _open_input(args.input) as handle:
+        blocks = read_blocks(handle)
+        _write_output(dot_blocks(next(blocks), blocks), None)  # it joins the whole file before its first line
     return 0
 
 

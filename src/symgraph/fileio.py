@@ -16,10 +16,10 @@ text as one code per character, finds tokens and lines from masks, and
 converts each distinct token once, into one weight column per block typed
 once.  One writer, for graph files and DOT, gathers each block's bytes from
 a table of label and distinct weight texts.
-``symgraph stats`` and ``spectrum`` read the blocks of :func:`read_blocks`;
-:func:`parse_edges` (or :func:`read_edges`, from a handle) and
-:func:`write_edges` join them into whole arrays (n, u, v, w) and text,
-and ``power`` and ``dot`` stream their output.
+Every ``symgraph`` command that reads a graph file reads the blocks of
+:func:`read_blocks`; :func:`parse_edges` and :func:`write_edges` join them
+into whole arrays (n, u, v, w) and text, and :func:`dot_blocks` joins them
+for its (u, v) order.
 
 Weights are written as the shortest decimal that round-trips the float, so
 parse(write(g)) reproduces g up to that formatting.  ``power --exact`` of
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -442,7 +443,8 @@ def parse_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     float or there is none, and an ``object`` array of Python ints and floats
     when both occur.  A :class:`GraphFormatError` names the first bad line.
     """
-    return _joined(_edge_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS)))
+    blocks = _edge_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS))
+    return (next(blocks), *_joined(blocks))
 
 
 def read_blocks(handle: TextIO) -> Iterator:
@@ -450,18 +452,12 @@ def read_blocks(handle: TextIO) -> Iterator:
     return _edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
 
 
-def read_edges(handle: TextIO) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`parse_edges` of a graph file read from a text handle: its blocks joined."""
-    return _joined(read_blocks(handle))
-
-
-def _joined(blocks: Iterator) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    n = next(blocks)
+def _joined(blocks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, b, w = zip(*blocks)
     w = [part for part in w if len(part)] or [np.empty(0)]
     if len({part.dtype for part in w}) > 1:
         w = [part.astype(object) for part in w]
-    return (n, *_narrow(np.concatenate(a), np.concatenate(b)), np.concatenate(w))
+    return (*_narrow(np.concatenate(a), np.concatenate(b)), np.concatenate(w))
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -554,13 +550,22 @@ def _dot_quote(s: str) -> str:
 
 def write_dot(graph: WeightedGraph) -> str:
     """Render an undirected DOT graph; loops are self-edges, weights are labels."""
-    return "".join(dot_blocks(graph.n, *edge_arrays(graph), graph.labels))
+    return "".join(dot_blocks(graph.n, [edge_arrays(graph)], graph.labels))
 
 
-def dot_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, labels: Sequence | None = None) -> Iterator[str]:
+def dot_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = None) -> Iterator[str]:
     """The DOT graph of n vertices, named by ``labels`` (by default their numbers), with weight w at
-    each 1-based pair (u, v), ``_WRITE_LINES`` lines at a time, in (u, v) order whatever the arrays'
-    order.  No weight text needs escaping: ``format_weight`` writes no ``"`` or ``\\``."""
+    each 1-based pair (u, v) of the blocks (u, v, w), ``_WRITE_LINES`` lines at a time, in (u, v)
+    order whatever the blocks' order: the one writer that joins its blocks, and it does so first.
+    No weight text needs escaping: ``format_weight`` writes no ``"`` or ``\\``.
+
+    Before the first line, the label table of ``_pair_lines`` is charged against the size budget's
+    bytes, as ``stats_json`` charges its counts: per vertex two texts of at most 8 characters and
+    n's digits, each a bytes object, its list pointer, the 80-byte buffer view that ``bytes.join``
+    takes of it, its copy in the table and its int32 length."""
+    u, v, w = _joined(blocks)
+    per_vertex = 2 * (sys.getsizeof(b"") + 8 + 80 + 2 * (8 + len(str(n))) + 4)
+    _check_budget(f"the DOT labels of n={n} vertices", held=(n + 1) * per_vertex)
     yield "graph G {\n"
     for lo in range(0, n, _WRITE_LINES):
         names = range(lo + 1, min(lo + _WRITE_LINES, n) + 1)

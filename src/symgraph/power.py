@@ -486,20 +486,22 @@ def _mirror_upper(core: np.ndarray) -> None:
         np.copyto(tile, tile.T, where=lower[: hi - lo, : hi - lo])
 
 
-def _core_bound(k: int, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, d_max: int):
-    """D_max * r^k, r the largest absolute row sum of the scaled n x n matrix
-    with w (Python ints or float64) at each 1-based (u, v) and (v, u): each
-    |w| is added to both ends of its pair, a loop's once, so no n x n array
-    is read.  No intermediate of either kernel is larger in absolute value.
+def _core_bound(k: int, n: int, blocks: Iterable[tuple], d_max: int, dtype):
+    """D_max * r^k in ``dtype`` (object for Python ints, or float64), r the largest absolute
+    row sum of the scaled n x n matrix with each block's w at its 1-based (u, v) and (v, u):
+    each |w| is added to both ends of its pair, a loop's once, so no n x n array is read.
+    No intermediate of either kernel is larger in absolute value.
     A degree-d row of linear-form coefficients sums to at most r^d in
     absolute value.  Every intermediate of the orbit kernel (a k-fold
     product, a sum over p for one q, a partial sum of ``np.add.at``) is a
     partial sum of S_ij's terms, so at most S_ij(|scaled|) =
     D_i * coef_ij(|scaled|) <= D_max * r^k."""
-    sums, size = np.zeros(n, dtype=w.dtype), np.abs(w)
-    np.add.at(sums, u - 1, size)
-    size[u == v] = 0
-    np.add.at(sums, v - 1, size)
+    sums = np.zeros(n, dtype=dtype)
+    for u, v, w in blocks:
+        size = np.abs(w.astype(dtype, copy=False))
+        np.add.at(sums, u - 1, size)
+        size[u == v] = 0
+        np.add.at(sums, v - 1, size)
     return d_max * sums.max() ** k
 
 
@@ -673,7 +675,7 @@ class _Scaled(NamedTuple):
     bound: object  # _core_bound of the scaled weights: a Python int, or a float64 on the float path
 
 
-def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str, order: str) -> _Scaled:
+def _scaled(n: int, blocks: Sequence[tuple], k: int, method: str, order: str) -> _Scaled:
     """Check the arguments, N, the orbit table cap and the orbit sizes' count
     limit, choose the exact or float path, scale rational weights to integers
     by their common denominator L, take the bound on every intermediate from
@@ -694,18 +696,18 @@ def _scaled(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method:
     if d_max >= COUNT_LIMIT:
         first = next(t for t, size in zip(tuples, sizes) if size >= COUNT_LIMIT)
         orbit_size(VertexMultiset(first, n).multiplicity())  # raises CountLimitError
-    exact = all_rational(map(w.item, range(len(w))))  # Python numbers, read lazily
+    exact = all(all_rational(map(w.item, range(len(w)))) for _, _, w in blocks)  # Python numbers, read lazily
     if not exact:
-        a = dense_matrix(n, [(u, v, w)], np.float64)
+        a = dense_matrix(n, blocks, np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # dense_matrix refused any int past float64
-            bound = _core_bound(k, n, u, v, w.astype(np.float64, copy=False), d_max)
+            bound = _core_bound(k, n, blocks, d_max, np.float64)
         return _Scaled(a, False, "float64", 1, tuples, sizes, bound)
-    w = w.astype(object)  # Python ints and Fractions: the scaling below must not wrap in int64
-    scale = math.lcm(*(x.denominator for x in w))
-    w = w * scale // 1  # Fraction // 1 is an int
-    bound = _core_bound(k, n, u, v, w, d_max)
+    scale = math.lcm(*(x.denominator for _, _, w in blocks for x in w.tolist()))
+    # Python ints, which the scaling cannot wrap as int64 would (Fraction // 1 is an int)
+    blocks = [(u, v, w.astype(object) * scale // 1) for u, v, w in blocks]
+    bound = _core_bound(k, n, blocks, d_max, object)
     path = "int64" if bound < _INT64_SAFE else "object"
-    return _Scaled(dense_matrix(n, [(u, v, w)], path), True, path, scale**k, tuples, sizes, bound)
+    return _Scaled(dense_matrix(n, blocks, path), True, path, scale**k, tuples, sizes, bound)
 
 
 def _object_bytes(s: _Scaled, n: int, k: int, method: str, whole: bool) -> int:
@@ -743,15 +745,14 @@ def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: st
     an object core and its kernel's temporaries would take more bytes than
     an int64 core of that N, and for ``method="orbit"`` when n^k exceeds
     2,000,000."""
-    n, (u, v, w) = graph.n, edge_arrays(graph)
-    return _whole_power(_scaled(n, u, v, w, k, method, order), n, k, method, order)
+    return _whole_power(_scaled(graph.n, [edge_arrays(graph)], k, method, order), graph.n, k, method, order)
 
 
-def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, method: str = "permanent",
-                           order: str = "paper", exact: bool = False) -> tuple[int, Iterator]:
-    """The dimension N of the power of the n-vertex graph with weight w at each
-    1-based pair (u, v), and the blocks of its nonzero pairs with row <= col:
-    float64 weights as ``SymPowerMatrix.upper_blocks()`` gives them, or with
+def sym_power_upper_blocks(n: int, blocks: Sequence[tuple], k: int, method: str = "permanent", order: str = "paper",
+                           exact: bool = False) -> tuple[int, Iterator]:
+    """The dimension N of the power of the n-vertex graph whose pairs come as a list of blocks
+    (u, v, w) of 1-based arrays, as the file parser makes them, and the blocks of its nonzero
+    pairs with row <= col: float64 weights as ``SymPowerMatrix.upper_blocks()`` gives them, or with
     ``exact`` (index, texts), one ``q*sqrt(r)`` text per distinct (S_ij, D_i * D_j) of a block.
 
     ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, or
@@ -763,7 +764,7 @@ def sym_power_upper_blocks(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, 
     D_max * r^k / L^k, cannot rule that out, the stream runs twice: once to
     check, once to write.
     """
-    s = _scaled(n, u, v, w, k, method, order)
+    s = _scaled(n, blocks, k, method, order)
     if exact and not s.exact:
         raise ValueError("--exact requires a graph with rational weights")
     if method == "orbit":

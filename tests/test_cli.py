@@ -184,16 +184,22 @@ def test_stats_flags(tmp_path, capsys, monkeypatch):
     # past the budget, a flag still names a bad line first: a malformed one,
     # and a pair repeated in a file out of order, which shows only at its
     # end; and it refuses a vertex count past memory before the counts
-    # take O(n) memory; spectrum, which holds the same blocks, too
+    # take O(n) memory; spectrum, which holds the same blocks, too, and
+    # power and dot, which read the whole file before their budgets
     monkeypatch.setenv("SYMTENSOR_MAX_N", "3")
     n = 10**17
-    for argv in (["stats", "--wiener"], ["stats", "--spectrum"], ["stats", "--wiener", "--spectrum"], ["spectrum"]):
+    refusals = {"power": f"multiset_count(n={n}, k=2) = {n * (n + 1) // 2} exceeds the supported limit 2**63\n",
+                # two label texts a vertex, of up to 26 characters at 18 digits: 354 bytes
+                "dot": f"the DOT labels of n={n} vertices would take about {(n + 1) * 354:,} bytes, more than the 72 "
+                       "of an int64 core at the budget 3; raise SYMTENSOR_MAX_N to override\n"}
+    for argv in (["stats", "--wiener"], ["stats", "--spectrum"], ["stats", "--wiener", "--spectrum"], ["spectrum"],
+                 ["power", "-k", "2"], ["dot"]):
         for text, err in (("4\n1 2\n2 3\n3 4\n1 x\n", "line 5: bad vertex pair '1' 'x'"),
                           ("4\n3 4\n1 2\n2 3\n2 1\n", "line 5: duplicate pair (1, 2)")):
             assert run_cli(capsys, argv, stdin=text, monkeypatch=monkeypatch) == (2, "", f"error: {err}\n")
         what = f"the Wiener index of n={n} vertices" if "--wiener" in argv else f"matrix dimension {n}"
-        err = f"error: {what} exceeds the budget 3; raise SYMTENSOR_MAX_N to override\n"
-        assert run_cli(capsys, argv, stdin=f"{n}\n1 2\n", monkeypatch=monkeypatch) == (2, "", err)
+        err = "error: " + refusals.get(argv[0], f"{what} exceeds the budget 3; raise SYMTENSOR_MAX_N to override\n")
+        assert run_cli(capsys, argv, stdin=f"{n}\n1 2\n", monkeypatch=monkeypatch) == (2, "", err), argv
 
 
 def test_dot_command(tmp_path, capsys):
@@ -330,8 +336,8 @@ def _rendered(power, weight):
 @pytest.mark.parametrize("source", ["rational", "signed", "float"])
 def test_power_output_bytes_match_entries(capsys, monkeypatch, source):
     if source == "rational":
-        graph = RATIONAL  # no graph file holds a Fraction: hand the graph's arrays to the command
-        monkeypatch.setattr(symgraph.cli, "_load_edges", lambda path: (graph.n, *edge_arrays(graph)))
+        graph = RATIONAL  # no graph file holds a Fraction: hand the graph's arrays to the command as one block
+        monkeypatch.setattr(symgraph.cli, "read_blocks", lambda handle: [graph.n, edge_arrays(graph)])
         stdin = None
     else:
         stdin = SIGNED_TEXT if source == "signed" else FLOAT_TEXT
@@ -376,7 +382,7 @@ def test_exact_power_builds_no_exact_weight(capsys, monkeypatch, source):
     from symgraph.exact import ExactWeight
 
     if source == "rational":
-        monkeypatch.setattr(symgraph.cli, "_load_edges", lambda path: (RATIONAL.n, *edge_arrays(RATIONAL)))
+        monkeypatch.setattr(symgraph.cli, "read_blocks", lambda handle: [RATIONAL.n, edge_arrays(RATIONAL)])
     stdin = None if source == "rational" else SIGNED_TEXT
     power = sym_power(RATIONAL if source == "rational" else parse_graph(SIGNED_TEXT), 3)
     want = _rendered(power, lambda p, i, j: p.entry_exact(i, j))
@@ -487,6 +493,39 @@ def test_plain_stats_past_the_size_budget_exits_2_before_the_counts(capsys, monk
                                    f'"degrees": [{degrees}], "wiener": null}}\n', "")
 
 
+def test_dot_past_the_size_budget_exits_2_before_the_labels(capsys, monkeypatch):
+    import tracemalloc
+
+    from symgraph.fileio import write_graph
+
+    monkeypatch.delenv("SYMTENSOR_MAX_N", raising=False)
+    for n in (10**9, 10**17):
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            code, out, err = run_cli(capsys, ["dot"], stdin=f"{n}\n1 2\n", monkeypatch=monkeypatch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "") and err.count("\n") == 1, err
+        assert err.startswith(f"error: the DOT labels of n={n} vertices would take about ")
+        assert peak < 10 * 2**20, peak  # the label table would take hundreds of GB, and the lines 30 GB
+    # SYMTENSOR_MAX_N=100 allows 80,000 bytes: 294 a vertex (label texts of up
+    # to 11 characters) admit n=271 and refuse n=272
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "100")
+    code, out, err = run_cli(capsys, ["dot"], stdin="271\n1 2\n", monkeypatch=monkeypatch)
+    assert (code, err) == (0, "") and out.count("[label=") == 272
+    code, out, err = run_cli(capsys, ["dot"], stdin="272\n1 2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "") and err == ("error: the DOT labels of n=272 vertices would take about 80,262 bytes, "
+                                              "more than the 80,000 of an int64 core at the budget 100; "
+                                              "raise SYMTENSOR_MAX_N to override\n")
+    # the default budget admits the 5,000-vertex path, whose bytes are as before
+    monkeypatch.delenv("SYMTENSOR_MAX_N")
+    code, out, err = run_cli(capsys, ["dot"], stdin=write_graph(path(5000)), monkeypatch=monkeypatch)
+    nodes = "".join(f'  {x} [label="{x}"];\n' for x in range(1, 5001))
+    pairs = "".join(f'  {x} -- {x + 1} [label="1"];\n' for x in range(1, 5000))
+    assert (code, out, err) == (0, f"graph G {{\n{nodes}{pairs}}}\n", "")
+
+
 @pytest.mark.parametrize("argv", [["stats"], ["stats", "--wiener"]], ids=" ".join)
 def test_a_vertex_count_past_memory_exits_2_with_one_error_line(capsys, monkeypatch, argv):
     # n = 10^17 would ask for 800 PB, more than any address space: the size
@@ -552,15 +591,22 @@ def test_streamed_power_equals_the_joined_arrays_in_any_block_size(capsys, monke
     from symgraph.fileio import edge_text_blocks, write_edges
     from symgraph.power import sym_power_upper_blocks
 
-    # a signed int graph whose power has mostly distinct exact entries, and a
-    # graph of Fraction weights (L = 6), which no graph file holds
-    texts = dict(STREAM_GRAPHS, distinct="4\n1 1 -3\n1 2 5\n1 3 -7\n1 4 2\n2 2 11\n2 3 -13\n3 4 17\n4 4 -19\n")
+    # a signed int graph whose power has mostly distinct exact entries; files
+    # whose power mode is decided across blocks, which at one character a
+    # block hold one line each: int weights then a float, ints then one past
+    # int64, and zero weights, int and float, which make no pair; and a graph
+    # of Fraction weights (L = 6), which no graph file holds
+    texts = dict(STREAM_GRAPHS, distinct="4\n1 1 -3\n1 2 5\n1 3 -7\n1 4 2\n2 2 11\n2 3 -13\n3 4 17\n4 4 -19\n",
+                 int_then_float="4\n1 1 2\n1 2 -1\n2 3 3\n3 4 0.5\n", past_int64_later=f"3\n1 1 2\n1 2 -3\n2 3 {'9' * 20}\n",
+                 zero_weights="4\n1 2 3\n2 3 0\n3 4 0.0\n4 4 -2\n")
     rational = WeightedGraph(4, {(1, 1): Fraction(-1, 2), (1, 2): Fraction(2, 3), (2, 4): 5, (3, 3): Fraction(7, 6)})
+    paths = dict(distinct="int64", int_then_float="float64", past_int64_later="object", zero_weights="int64",
+                 rational="int64")
     # the references are made whole, at the default block sizes
     want = {}
     for name, graph in [*((name, parse_graph(text)) for name, text in texts.items()), ("rational", rational)]:
         power = sym_power(graph, 3)
-        assert power.path == {"distinct": "int64", "rational": "int64"}.get(name, name)
+        assert power.path == paths.setdefault(name, name)
         rows, cols, weights = power.upper_edges()
         want[name, False] = write_edges(power.dim, rows + 1, cols + 1, weights)
         if power.exact:
@@ -569,15 +615,21 @@ def test_streamed_power_equals_the_joined_arrays_in_any_block_size(capsys, monke
             want[name, True] = write_edges(power.dim, rows + 1, cols + 1, exact)
     assert len({line.split()[-1] for line in want["distinct", True].splitlines()[1:]}) > 150  # of 166 pairs
     _block_sizes(monkeypatch, size)
+    ran, scaled = [], symgraph.power._scaled  # the path each run takes
+    monkeypatch.setattr(symgraph.power, "_scaled", lambda *args: ran.append(scaled(*args)) or ran[-1])
     for (name, exact), text in want.items():
         if name == "rational":
-            dim, blocks = sym_power_upper_blocks(rational.n, *edge_arrays(rational), 3, exact=exact)
+            dim, blocks = sym_power_upper_blocks(rational.n, [edge_arrays(rational)], 3, exact=exact)
             assert "".join(edge_text_blocks(dim, blocks, range(1, dim + 1))) == text, (name, exact)
-            continue
-        argv = ["power", "-k", "3"] + (["--exact"] if exact else [])
-        code, out, err = run_cli(capsys, argv, stdin=texts[name], monkeypatch=monkeypatch)
-        assert (code, err) == (0, "")
-        assert out == text, (name, exact)
+        else:
+            argv = ["power", "-k", "3"] + (["--exact"] if exact else [])
+            code, out, err = run_cli(capsys, argv, stdin=texts[name], monkeypatch=monkeypatch)
+            assert (code, err) == (0, "")
+            assert out == text, (name, exact)
+        assert ran.pop().path == paths[name], (name, exact)
+    argv = ["power", "-k", "3", "--exact"]
+    assert run_cli(capsys, argv, stdin=texts["int_then_float"], monkeypatch=monkeypatch) == (
+        2, "", "error: --exact requires a graph with rational weights\n")
 
 
 
@@ -649,14 +701,14 @@ def test_streamed_power_equals_the_whole_core(capsys, monkeypatch, block):
     # those of the whole core, entry by entry, for blocks that end mid-row too
     if block is not None:
         monkeypatch.setattr(symgraph.power, "_BLOCK_ELEMS", block)
-    paths, load = set(), symgraph.cli._load_edges
+    paths, read = set(), symgraph.cli.read_blocks
     for name, source in WHOLE_CORE_GRAPHS.items():
         if isinstance(source, str):
             graph, stdin = parse_graph(source), source
-            monkeypatch.setattr(symgraph.cli, "_load_edges", load)
+            monkeypatch.setattr(symgraph.cli, "read_blocks", read)
         else:
-            graph, stdin = source, None  # no graph file holds a Fraction
-            monkeypatch.setattr(symgraph.cli, "_load_edges", lambda path: (graph.n, *edge_arrays(graph)))
+            graph, stdin = source, None  # no graph file holds a Fraction: the reader hands out its one block
+            monkeypatch.setattr(symgraph.cli, "read_blocks", lambda handle: [graph.n, edge_arrays(graph)])
         for k in (1, 3):
             for order in ("paper", "lex"):
                 power = sym_power(graph, k, order=order)
@@ -784,9 +836,9 @@ def test_plain_stats_of_a_dense_power_peaks_near_a_bare_import(tmp_path):
 
 
 def test_commands_reading_a_dense_power_run_in_bounded_memory(tmp_path):
-    # the complete_loops 8 k=5 power file (314,028 pairs) is read into its
-    # arrays (n, u, v, w) alone; each process may peak at most 60 MB above a
-    # bare import of the CLI
+    # the complete_loops 8 k=5 power file (314,028 pairs) is read as the
+    # parser's blocks alone, which dot joins; each process may peak at most
+    # 60 MB above a bare import of the CLI
     source, power = tmp_path / "family.txt", tmp_path / "power.txt"
     assert main(["family", "complete_loops", "8", "-o", str(source)]) == 0
     assert main(["power", "-k", "5", "-o", str(power), str(source)]) == 0
@@ -803,15 +855,17 @@ def test_spectrum_and_the_stats_flags_read_the_parser_blocks_unjoined(tmp_path):
     # matrix, and stats --wiener builds its adjacency lists from them too,
     # with no joined copy of the file: at most 20 MB (32 MB with both flags)
     # above a bare import of the CLI, where the joined arrays took 24-25 MB
-    # (48 MB)
+    # (48 MB); power -k 1 scales the same blocks into its matrix, at most
+    # 18 MB above it, where the joined arrays took 22 MB
     source, power = tmp_path / "family.txt", tmp_path / "power.txt"
     assert main(["family", "complete_loops", "8", "-o", str(source)]) == 0
     assert main(["power", "-k", "5", "-o", str(power), str(source)]) == 0
     shim = "import sys; from symgraph.cli import main; sys.exit(main())"
     bare = _peak_mb(["import symgraph.cli"])
     peaks = {" ".join(argv): _peak_mb([shim, *argv, str(power)])
-             for argv in (["spectrum"], ["stats", "--spectrum"], ["stats", "--wiener", "--spectrum"])}
-    bounds = {"spectrum": 20, "stats --spectrum": 20, "stats --wiener --spectrum": 32}
+             for argv in (["spectrum"], ["stats", "--spectrum"], ["stats", "--wiener", "--spectrum"],
+                          ["power", "-k", "1"])}
+    bounds = {"spectrum": 20, "stats --spectrum": 20, "stats --wiener --spectrum": 32, "power -k 1": 18}
     assert all(peaks[argv] <= bare + bounds[argv] for argv in bounds), (bare, peaks)
 
 

@@ -13,7 +13,6 @@ from symgraph.fileio import (
     format_weight,
     parse_edges,
     parse_graph,
-    read_edges,
     write_dot,
     write_edges,
     write_graph,
@@ -222,6 +221,11 @@ def test_read_edges_from_a_handle_equals_parse_edges(monkeypatch, block):
 
     from symgraph import fileio
 
+    def read_joined(handle):
+        """The blocks that every command reads from a handle, joined as parse_edges joins a text's."""
+        blocks = fileio.read_blocks(handle)
+        return (next(blocks), *fileio._joined(blocks))
+
     if block is not None:
         monkeypatch.setattr(fileio, "_BLOCK_CHARS", block)
     rng = random.Random(4099)
@@ -229,7 +233,7 @@ def test_read_edges_from_a_handle_equals_parse_edges(monkeypatch, block):
         lines = ["# a graph", "4"] + [rng.choice(GOOD_LINES + NOISE + BAD_LINES) for _ in range(rng.randint(0, 8))]
         text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
         handle = io.StringIO(text, newline="")
-        assert _arrays_or_error(read_edges, handle) == _arrays_or_error(parse_edges, text), text
+        assert _arrays_or_error(read_joined, handle) == _arrays_or_error(parse_edges, text), text
 
 
 # every line break str.splitlines() knows, and whitespace that is not one

@@ -646,7 +646,7 @@ def test_upper_support_scans_row_blocks_in_order(monkeypatch, block):
         want = np.nonzero(np.triu(power.core))
         assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
         # the streamed first power scans the scaled matrix in the same blocks
-        dim, streamed = sym_power_upper_blocks(g.n, *edge_arrays(g), 1)
+        dim, streamed = sym_power_upper_blocks(g.n, [edge_arrays(g)], 1)
         streamed, whole = list(streamed), list(sym_power(g, 1).upper_blocks())
         assert dim == g.n and len(streamed) == len(whole)
         for got, block in zip(streamed, whole):
@@ -692,7 +692,7 @@ def test_a_weight_that_underflows_leaves_its_pair_out():
     dense = np.triu(power.to_dense())
     assert np.count_nonzero(np.triu(power.core)) == np.count_nonzero(dense) + 1 == 56
     want = np.nonzero(dense)
-    _, blocks = sym_power_upper_blocks(g.n, *edge_arrays(g), 4)
+    _, blocks = sym_power_upper_blocks(g.n, [edge_arrays(g)], 4)
     for rows, cols, weights in (power.upper_edges(), tuple(map(np.concatenate, zip(*blocks)))):
         assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
         assert np.array_equal(weights, dense[want])
@@ -1105,7 +1105,7 @@ def test_the_object_price_is_never_below_the_core_bytes(weight, density):
     ints = {id(x): x for x in power.core.flat}
     held = 8 * power.core.size + sum(map(sys.getsizeof, ints.values()))
     for method in ("permanent", "orbit"):
-        scaled = _scaled(n, *edge_arrays(g), k, method, "paper")
+        scaled = _scaled(n, [edge_arrays(g)], k, method, "paper")
         assert scaled.path == "object"
         assert _object_bytes(scaled, n, k, method, True) >= held, method
 
@@ -1123,7 +1123,7 @@ def test_the_orbit_object_core_shares_its_ints_and_stays_within_its_price(weight
     n, k = 6, 4
     g = WeightedGraph(n, {(a, b): rng.choice((-1, 1)) * rng.randint(1, 9) * weight
                           for a in range(1, n + 1) for b in range(a, n + 1) if rng.random() < 0.4})
-    price = _object_bytes(_scaled(n, *edge_arrays(g), k, "orbit", "paper"), n, k, "orbit", True)
+    price = _object_bytes(_scaled(n, [edge_arrays(g)], k, "orbit", "paper"), n, k, "orbit", True)
     _ordered_table.cache_clear()  # the peak counts the table too, whatever ran before
     tracemalloc.start()
     try:
@@ -1152,7 +1152,7 @@ def test_the_float_bound_holds_no_gather_or_masked_copy_of_the_weights():
     _index_tables(n, 1, "paper")  # cached: the peak counts the scaling alone
     tracemalloc.start()
     try:
-        scaled = _scaled(n, u, v, w, 1, "permanent", "paper")
+        scaled = _scaled(n, [(u, v, w)], 1, "permanent", "paper")
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
