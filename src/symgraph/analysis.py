@@ -202,19 +202,14 @@ class DisconnectedGraphError(ValueError):
 
 
 def wiener_index(graph: WeightedGraph) -> int:
-    """Sum of hop-count distances over unordered distinct vertex pairs:
-    :func:`wiener_index_edges` of the graph's pairs."""
-    return wiener_index_edges(graph.n, [edge_arrays(graph)])
-
-
-def wiener_index_edges(n: int, blocks: Sequence[tuple]) -> int:
-    """The Wiener index of the n-vertex graph whose weighted pairs are the
-    (u, v) of ``blocks`` (read twice), by BFS on the unweighted support.
-    Disconnected input raises :class:`DisconnectedGraphError` with its count."""
-    count = int(_component_ids(n, blocks).max()) + 1
+    """Sum of hop-count distances over unordered distinct vertex pairs, by
+    BFS on the unweighted support.  Disconnected input raises
+    :class:`DisconnectedGraphError` with its count."""
+    blocks = [edge_arrays(graph)]
+    count = int(_component_ids(graph.n, blocks).max()) + 1
     if count > 1:
         raise DisconnectedGraphError(count)
-    return _distance_sum(n, blocks)
+    return _distance_sum(graph.n, blocks)
 
 
 def wiener_within_components(graph: WeightedGraph) -> int:

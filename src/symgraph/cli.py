@@ -1,6 +1,6 @@
 """Command-line surface: family, power, spectrum, stats, dot, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or I/O error.
 Graphs travel between commands in the edge-list format, so the subcommands
 compose in pipelines, e.g.::
 
@@ -19,14 +19,7 @@ from contextlib import nullcontext
 from typing import Iterable
 
 from .combinatorics import CountLimitError
-from .fileio import (
-    GraphFormatError,
-    dot_blocks,
-    edge_text_blocks,
-    read_blocks,
-    stats_json,
-    write_graph,
-)
+from .fileio import dot_blocks, edge_text_blocks, read_blocks, stats_json, write_graph
 from .graphs import FAMILY_NAMES, family
 # sym_power itself is not called here: the benchmark's tracer wraps every
 # module binding of it, and bench/test_bench.py checks that this one is reached
@@ -176,8 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 0
     # a MemoryError comes from the input too, such as a vertex count of 10^17
-    except (FileNotFoundError, GraphFormatError, CountLimitError, JacobiConvergenceError, MemoryError,
-            ValueError) as exc:
+    except (OSError, CountLimitError, JacobiConvergenceError, MemoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

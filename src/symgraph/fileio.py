@@ -482,10 +482,12 @@ def format_weight(w) -> str:
 _WRITE_LINES = 1 << 12
 
 
-def _text_table(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``texts`` back to back, each one's offset and its length (int32)."""
+def _text_table(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ASCII ``texts`` back to back as bytes, each one's offset and its length (int32).
+    They are joined as one ``str`` and encoded once, so no text has a bytes object of its own."""
     lengths = np.fromiter(map(len, texts), dtype=np.int32, count=len(texts))
-    return np.frombuffer(b"".join(texts), dtype=np.uint8), np.cumsum(lengths, dtype=np.int32) - lengths, lengths
+    table = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+    return table, np.cumsum(lengths, dtype=np.int32) - lengths, lengths
 
 
 def _pair_lines(blocks: Iterable[tuple], names: Sequence, first: str, second: str, weight: str) -> Iterator[str]:
@@ -493,7 +495,7 @@ def _pair_lines(blocks: Iterable[tuple], names: Sequence, first: str, second: st
     ``blocks``, ``_WRITE_LINES`` at a time.  A block is (u, v, weights): ends indexing ``names``, and
     an ndarray, reduced to its distinct values a chunk at a time, or (index, texts), written as they
     are.  Each chunk is gathered by one ``np.repeat`` index from a byte table of label and weight texts."""
-    labels, label_at, label_size = _text_table([f.format(x).encode() for f in (first, second) for x in names])
+    labels, label_at, label_size = _text_table([f.format(x) for f in (first, second) for x in names])
     table = labels
     for u, v, weights in blocks:
         for lo in range(0, len(u), _WRITE_LINES):
@@ -510,7 +512,7 @@ def _pair_lines(blocks: Iterable[tuple], names: Sequence, first: str, second: st
                 w = np.fromiter(map(ids.__getitem__, keys), dtype=np.intp, count=len(keys))
                 texts = [format_weight(x) for _, x in ids]
             if texts is not None:
-                text, text_at, text_size = _text_table([weight.format(x).encode() for x in texts])
+                text, text_at, text_size = _text_table([weight.format(x) for x in texts])
                 if len(table) < len(labels) + len(text):  # room for twice these texts
                     table = np.concatenate((labels, np.empty(2 * len(text), dtype=np.uint8)))
                 table[len(labels) : len(labels) + len(text)] = text
@@ -561,10 +563,10 @@ def dot_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = None) 
 
     Before the first line, the label table of ``_pair_lines`` is charged against the size budget's
     bytes, as ``stats_json`` charges its counts: per vertex two texts of at most 8 characters and
-    n's digits, each a bytes object, its list pointer, the 80-byte buffer view that ``bytes.join``
-    takes of it, its copy in the table and its int32 length."""
+    n's digits, each a ``str``, its list pointer, its copies in the joined ``str`` and in the
+    encoded table, and its int32 length and offset."""
     u, v, w = _joined(blocks)
-    per_vertex = 2 * (sys.getsizeof(b"") + 8 + 80 + 2 * (8 + len(str(n))) + 4)
+    per_vertex = 2 * (sys.getsizeof("") + 8 + 3 * (8 + len(str(n))) + 4 + 4)
     _check_budget(f"the DOT labels of n={n} vertices", held=(n + 1) * per_vertex)
     yield "graph G {\n"
     for lo in range(0, n, _WRITE_LINES):
@@ -582,7 +584,9 @@ def stats_json(n: int, blocks: Iterable[tuple], wiener: bool = False, spectrum: 
     requested on a connected graph, then ``spectrum`` when requested.  A
     flag keeps the blocks for the eigensolver's matrix and the BFS (O(n^2)
     time on a path) and refuses past SYMTENSOR_MAX_N vertices after the
-    last block, so that a bad line is named first.  The counts' O(n) arrays
+    last block, so that a bad line is named first.  The counts find
+    whether the graph is connected, so its blocks go straight to the BFS
+    sum, with no second component forest.  The counts' O(n) arrays
     are charged against the budget's bytes after the flag's checks, so
     before the first block without a flag: per vertex the forest, the
     int64 degrees, a block's two int64 ``np.bincount`` and the degree list's pointer."""
@@ -598,7 +602,7 @@ def stats_json(n: int, blocks: Iterable[tuple], wiener: bool = False, spectrum: 
     if spectrum:
         stats["spectrum"] = list(eigenvalues_edges(n, blocks).values)
     if wiener and stats["components"] == 1:
-        stats["wiener"] = analysis.wiener_index_edges(n, blocks)
+        stats["wiener"] = analysis._distance_sum(n, blocks)
     return json.dumps(stats) + "\n"
 
 

@@ -189,8 +189,8 @@ def test_stats_flags(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYMTENSOR_MAX_N", "3")
     n = 10**17
     refusals = {"power": f"multiset_count(n={n}, k=2) = {n * (n + 1) // 2} exceeds the supported limit 2**63\n",
-                # two label texts a vertex, of up to 26 characters at 18 digits: 354 bytes
-                "dot": f"the DOT labels of n={n} vertices would take about {(n + 1) * 354:,} bytes, more than the 72 "
+                # two label texts a vertex, of up to 26 characters at 18 digits: 286 bytes
+                "dot": f"the DOT labels of n={n} vertices would take about {(n + 1) * 286:,} bytes, more than the 72 "
                        "of an int64 core at the budget 3; raise SYMTENSOR_MAX_N to override\n"}
     for argv in (["stats", "--wiener"], ["stats", "--spectrum"], ["stats", "--wiener", "--spectrum"], ["spectrum"],
                  ["power", "-k", "2"], ["dot"]):
@@ -223,6 +223,48 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, ["stats", "/nonexistent/graph.txt"])
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("argv", [["family", "path", "3", "-o"], ["power", "-k", "2", "-o"], ["stats"]],
+                         ids=" ".join)
+def test_an_io_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    # a directory where a file belongs: exit 1 is kept for a failed verification
+    code, out, err = run_cli(capsys, [*argv, str(tmp_path)], stdin="3\n1 2\n2 3\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_failed_verification_exits_1_with_its_fail_line(capsys, monkeypatch):
+    import symgraph.verify
+    from symgraph.verify import SuiteResult
+
+    def failing_suite(**kwargs):
+        result = SuiteResult("wiener")
+        result.check("complete(3,2)", 6, 7)
+        return result
+
+    monkeypatch.setattr(symgraph.verify, "suite_wiener", failing_suite)
+    code, out, err = run_cli(capsys, ["verify", "--suite", "wiener"])
+    assert (code, err) == (1, "")
+    fail, status = out.splitlines()
+    assert fail == "FAIL wiener complete(3,2) 6 7"
+    assert re.fullmatch(r"FAILED wiener: 1 checks, 1 failures, \d+\.\d\d s", status), status
+
+
+def test_a_closed_pipe_exits_0_with_no_error(capsys, monkeypatch):
+    import sys
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["family", "path", "3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_orbit_past_the_ordered_table_cap_exit_code(tmp_path, capsys):
@@ -509,13 +551,13 @@ def test_dot_past_the_size_budget_exits_2_before_the_labels(capsys, monkeypatch)
         assert (code, out) == (2, "") and err.count("\n") == 1, err
         assert err.startswith(f"error: the DOT labels of n={n} vertices would take about ")
         assert peak < 10 * 2**20, peak  # the label table would take hundreds of GB, and the lines 30 GB
-    # SYMTENSOR_MAX_N=100 allows 80,000 bytes: 294 a vertex (label texts of up
-    # to 11 characters) admit n=271 and refuse n=272
+    # SYMTENSOR_MAX_N=100 allows 80,000 bytes: 196 a vertex (label texts of up
+    # to 11 characters) admit n=407 and refuse n=408
     monkeypatch.setenv("SYMTENSOR_MAX_N", "100")
-    code, out, err = run_cli(capsys, ["dot"], stdin="271\n1 2\n", monkeypatch=monkeypatch)
-    assert (code, err) == (0, "") and out.count("[label=") == 272
-    code, out, err = run_cli(capsys, ["dot"], stdin="272\n1 2\n", monkeypatch=monkeypatch)
-    assert (code, out) == (2, "") and err == ("error: the DOT labels of n=272 vertices would take about 80,262 bytes, "
+    code, out, err = run_cli(capsys, ["dot"], stdin="407\n1 2\n", monkeypatch=monkeypatch)
+    assert (code, err) == (0, "") and out.count("[label=") == 408
+    code, out, err = run_cli(capsys, ["dot"], stdin="408\n1 2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "") and err == ("error: the DOT labels of n=408 vertices would take about 80,164 bytes, "
                                               "more than the 80,000 of an int64 core at the budget 100; "
                                               "raise SYMTENSOR_MAX_N to override\n")
     # the default budget admits the 5,000-vertex path, whose bytes are as before
@@ -524,6 +566,37 @@ def test_dot_past_the_size_budget_exits_2_before_the_labels(capsys, monkeypatch)
     nodes = "".join(f'  {x} [label="{x}"];\n' for x in range(1, 5001))
     pairs = "".join(f'  {x} -- {x + 1} [label="1"];\n' for x in range(1, 5000))
     assert (code, out, err) == (0, f"graph G {{\n{nodes}{pairs}}}\n", "")
+
+
+@pytest.mark.parametrize("n", [20_000, 200_000])
+def test_dot_traced_peak_is_within_its_price(capsys, monkeypatch, n):
+    import collections
+    import io
+    import sys
+    import tracemalloc
+
+    # the price the budget charges, as its refusal states it
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "1")
+    code, out, err = run_cli(capsys, ["dot"], stdin=f"{n}\n1 2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    price = int(re.search(r"would take about ([\d,]+) bytes", err)[1].replace(",", ""))
+
+    class Discard:
+        def writelines(self, texts):
+            collections.deque(texts, maxlen=0)
+
+    monkeypatch.setenv("SYMTENSOR_MAX_N", "100000")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{n}\n1 2\n"))
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        code = main(["dot"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= price, (peak, price)
+    assert peak <= 215 * n, peak / n  # the price is 178 + 6 bytes a vertex per digit of n: 214 at six
 
 
 @pytest.mark.parametrize("argv", [["stats"], ["stats", "--wiener"]], ids=" ".join)
@@ -674,10 +747,14 @@ def test_stats_wiener_past_the_size_budget_exits_2_before_the_bfs(capsys, monkey
     import symgraph.analysis
     from symgraph.fileio import write_graph
 
+    def no_forest(*args):
+        raise AssertionError("the counts' forest tells a connected graph")
+
     monkeypatch.setenv("SYMTENSOR_MAX_N", "10")
+    monkeypatch.setattr(symgraph.analysis, "_component_ids", no_forest)  # no second component forest
     code, out, err = run_cli(capsys, argv, stdin=write_graph(path(10)), monkeypatch=monkeypatch)
     assert (code, err) == (0, "") and json.loads(out)["wiener"] == 165
-    monkeypatch.setattr(symgraph.analysis, "wiener_index_edges", None)  # no BFS past the bound
+    monkeypatch.setattr(symgraph.analysis, "_distance_sum", None)  # no BFS past the bound
     # path 11, and a disconnected graph, whose wiener is null within the bound
     for text in (write_graph(path(11)), "11\n1 2\n"):
         code, out, err = run_cli(capsys, argv, stdin=text, monkeypatch=monkeypatch)
