@@ -30,7 +30,7 @@ import numpy as np
 
 from .combinatorics import VertexMultiset, multiset_count, orbit_size
 from .exact import ExactWeight
-from .graphs import WeightedGraph, cycle, edge_arrays
+from .graphs import WeightedGraph, edge_arrays
 
 
 @dataclass(frozen=True)
@@ -371,11 +371,17 @@ def wiener_complete_power_proof(n: int, k: int) -> int | Fraction:
     return int(val) if val.denominator == 1 else val
 
 
-def wiener_cycle_square_statement(n: int) -> int:
-    """Wiener index of the second power of an odd cycle, closed form."""
+def _odd_cycle_wiener(n: int) -> int:
+    """W(C_n) = n(n^2 - 1)/8 for odd n >= 3.  A closed form, not the BFS:
+    the BFS is the oracle that the cycle-square readings are checked against."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
-    w = wiener_index(cycle(n))
+    return n * (n * n - 1) // 8
+
+
+def wiener_cycle_square_statement(n: int) -> int:
+    """Wiener index of the second power of an odd cycle, closed form."""
+    w = _odd_cycle_wiener(n)
     half = (n + 3) // 2
     return (
         math.comb(n + 2, 2) * w
@@ -390,9 +396,7 @@ def wiener_cycle_square_blocks(n: int) -> int:
     The top summand carries a zero factor, so the two printed upper limits
     (B and B-1, with B = (n+1)/2) give identical values.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"need odd n >= 3, got {n}")
-    w = wiener_index(cycle(n))
+    w = _odd_cycle_wiener(n)
     b = (n + 1) // 2
     total = sum((2 * w + i * n * n) * (b - i) for i in range(b + 1))
     return total - b * w

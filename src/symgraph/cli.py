@@ -52,7 +52,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         n, *blocks = read_blocks(handle)  # the whole file first: a bad line is named before a budget refusal
     dim, pairs = sym_power_upper_blocks(n, blocks, args.k, method=args.method, order=args.order, exact=args.exact)
     del blocks  # the pairs are in the scaled matrix now
-    _write_output(edge_text_blocks(dim, pairs, range(1, dim + 1)), args.output)  # 0-based rows and cols
+    _write_output(edge_text_blocks(dim, pairs, range(dim + 1)), args.output)
     return 0
 
 

@@ -532,19 +532,20 @@ def _check_float_range(pieces: Iterable[tuple[int, int, np.ndarray]], path: str,
 
 def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int, ...], denominator: int,
                  exact: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | tuple]]:
-    """0-based (rows, cols, weights) of the nonzero entries with row <= col of
-    a core given as pieces (lo, first, block): rows lo:lo+len(block), columns
-    from ``first`` on, in row order.  A piece is read before the next one is
-    asked for, and consecutive pieces are joined while they scan at most
-    ``_SUPPORT_BLOCK`` entries together, so every block is one writer block.
+    """The nonzero entries with row <= col of a core given as pieces (lo, first, block): rows
+    lo:lo+len(block), columns from ``first`` on, in row order, as the graph file's blocks (u, v, w),
+    u and v naming the 1-based vertices of row and col.  A piece is read before the next one is
+    asked for, and consecutive pieces are joined while they scan at most ``_SUPPORT_BLOCK``
+    entries together, so every block is one writer block.  A vertex is its row or col plus 1,
+    added where the pieces are joined, and ``d`` and ``radicand`` are indexed by vertex, slot 0 unused.
 
     The weights are float64 S_ij / sqrt(D_i * D_j), bit-equal to ``SymPowerMatrix.to_dense()``,
     with the pairs whose weight underflows to 0.0 left out; with ``exact`` they are (index,
     texts): the ``str(entry_exact)`` of each distinct (S_ij, D_i * D_j) of a block, from the ints
     S_ij / (L^k * s * f) and f, where D_i * D_j = s^2 * f with f square-free, split once a block.
     """
-    d = np.array(sizes, dtype=np.float64)
-    radicand = np.array(sizes, dtype=np.int64 if max(sizes) ** 2 < 2**63 else object)  # D_i * D_j must not wrap
+    d = np.array((1, *sizes), dtype=np.float64)
+    radicand = np.array((1, *sizes), dtype=np.int64 if max(sizes) ** 2 < 2**63 else object)  # D_i * D_j must not wrap
 
     def weighted(rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
         if exact:
@@ -574,7 +575,7 @@ def _edge_blocks(pieces: Iterable[tuple[int, int, np.ndarray]], sizes: tuple[int
             rows, cols = np.nonzero(block)
             upper = cols + first >= rows + lo
             rows, cols = rows[upper], cols[upper]
-            parts.append((rows + lo, cols + first, block[rows, cols]))
+            parts.append((rows + (lo + 1), cols + (first + 1), block[rows, cols]))
             scanned += block.size
 
 
@@ -635,32 +636,22 @@ class SymPowerMatrix:
         return _float_values(self.core, self.denominator) / np.sqrt(np.outer(d, d))
 
     def upper_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """0-based (rows, cols, weights) of the nonzero core entries with row <=
-        col in (row, col) order, a block per about ``_SUPPORT_BLOCK`` entries
-        scanned from the diagonal on, so no temporary grows with the N x N
-        core.  The weights are float64, bit-equal to ``to_dense()[rows, cols]``,
-        and pairs whose weight underflows to 0.0 (no edge in ``to_dense``) are
-        left out.  An entry past the float64 range, or a float core's inf or
-        nan, raises ValueError here, before the first block."""
+        """The graph file's blocks (u, v, w) of the nonzero core entries with
+        row <= col, u and v the 1-based vertices, in (u, v) order, a block per
+        about ``_SUPPORT_BLOCK`` entries scanned from the diagonal on, so no
+        temporary grows with the N x N core.  The weights are float64, bit-equal
+        to ``to_dense()[u - 1, v - 1]``, and pairs whose weight underflows to
+        0.0 (no edge in ``to_dense``) are left out.  An entry past the float64
+        range, or a float core's inf or nan, raises ValueError here, before the
+        first block."""
         _check_float_range([(0, 0, self.core)], self.path, self.denominator)
         return _edge_blocks(_upper_pieces(self.core), self.orbit_sizes, self.denominator, exact=False)
 
-    def upper_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero pairs of the float matrix with row <= col and their
-        weights: the blocks of ``upper_blocks()`` joined.
-
-        Rows and cols are 0-based and sorted by (row, col), the order of
-        ``WeightedGraph.edges()``, without building the N x N float matrix.
-        """
-        return tuple(map(np.concatenate, zip(*self.upper_blocks())))
-
-    def vertex_labels(self) -> tuple[str, ...]:
-        return tuple(",".join(map(str, t)) for t in self.tuples)
-
     def to_graph(self) -> WeightedGraph:
-        rows, cols, weights = self.upper_edges()
-        edges = zip((rows + 1).tolist(), (cols + 1).tolist(), weights.tolist())
-        return WeightedGraph(self.dim, edges, self.vertex_labels())
+        """The power as a graph on the vertices 1..N labeled "i1,i2,...": the
+        pairs of ``upper_blocks()`` as they come."""
+        edges = chain.from_iterable(zip(u.tolist(), v.tolist(), w.tolist()) for u, v, w in self.upper_blocks())
+        return WeightedGraph(self.dim, edges, tuple(",".join(map(str, t)) for t in self.tuples))
 
 
 class _Scaled(NamedTuple):
@@ -751,9 +742,10 @@ def sym_power(graph: WeightedGraph, k: int, method: str = "permanent", order: st
 def sym_power_upper_blocks(n: int, blocks: Sequence[tuple], k: int, method: str = "permanent", order: str = "paper",
                            exact: bool = False) -> tuple[int, Iterator]:
     """The dimension N of the power of the n-vertex graph whose pairs come as a list of blocks
-    (u, v, w) of 1-based arrays, as the file parser makes them, and the blocks of its nonzero
-    pairs with row <= col: float64 weights as ``SymPowerMatrix.upper_blocks()`` gives them, or with
-    ``exact`` (index, texts), one ``q*sqrt(r)`` text per distinct (S_ij, D_i * D_j) of a block.
+    (u, v, w) of 1-based arrays, as the file parser makes them, and the power's pairs in that
+    form: the 1-based (u, v) with u <= v of its nonzero entries, with float64 weights as
+    ``SymPowerMatrix.upper_blocks()`` gives them, or with ``exact`` (index, texts), one
+    ``q*sqrt(r)`` text per distinct (S_ij, D_i * D_j) of a block.
 
     ``method="permanent"`` streams the blocks of ``_linear_form_blocks``, or
     at k = 1 of the scaled matrix, so no N x N core is held; ``"orbit"``,

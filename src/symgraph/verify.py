@@ -257,9 +257,9 @@ def _map_cases(cases: list[tuple]) -> list[SuiteResult]:
 
 def _support_stats(power: SymPowerMatrix) -> dict[str, object]:
     """The edge, loop and component counts and the degrees of the power's
-    graph (``analysis.support_stats_blocks``), counted off the blocks of its
-    upper pairs -- the pairs ``to_graph`` makes edges -- with no graph built."""
-    return analysis.support_stats_blocks(power.dim, ((rows + 1, cols + 1) for rows, cols, _ in power.upper_blocks()))
+    graph (``analysis.support_stats_blocks``), counted off ``upper_blocks()``
+    as they come -- the pairs ``to_graph`` makes edges -- with no graph built."""
+    return analysis.support_stats_blocks(power.dim, power.upper_blocks())
 
 
 def _kernel_case(tag: str, graph: WeightedGraph, kmax: int) -> SuiteResult:

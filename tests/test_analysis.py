@@ -43,6 +43,7 @@ from symgraph.graphs import (
     complete_bipartite,
     complete_loops,
     cycle,
+    edge_arrays,
     path,
     star,
 )
@@ -431,6 +432,33 @@ def test_wiener_cycle_square_readings():
         assert wiener_cycle_square_blocks(n) == got
     with pytest.raises(ValueError):
         wiener_cycle_square_statement(4)
+
+
+def test_odd_cycle_square_readings_run_no_bfs(monkeypatch):
+    # the readings take W(C_n) from its closed form, not from the BFS that
+    # the wiener suite checks them against; fed the BFS's W(C_n) instead,
+    # as they once were, they give the same values for every odd n to 99
+    want = {}
+    for n in range(3, 100, 2):
+        monkeypatch.setattr(analysis, "_odd_cycle_wiener", lambda n, w=wiener_index(cycle(n)): w)
+        want[n] = (wiener_cycle_square_statement(n), wiener_cycle_square_blocks(n))
+    monkeypatch.undo()
+
+    def no_bfs(*args):
+        raise AssertionError("a closed form ran the BFS")
+
+    monkeypatch.setattr(analysis, "_distance_sum", no_bfs)
+    for n, values in want.items():
+        assert (wiener_cycle_square_statement(n), wiener_cycle_square_blocks(n)) == values, n
+    assert want[3] == (21, 21) and want[99][0] == want[99][1]
+
+
+def test_degree_sequence_is_the_support_stats_degrees():
+    graphs = [path(5), cycle(6), star(4), complete_loops(3), WeightedGraph(4, {(1, 1): 2, (2, 3): -0.5}),
+              WeightedGraph(3, {})]
+    for g in graphs:
+        want = analysis.support_stats_blocks(g.n, [edge_arrays(g)])["degrees"]
+        assert analysis.degree_sequence(g) == want == [degree(g, v) for v in range(1, g.n + 1)]
 
 
 def test_one_regular_powers():

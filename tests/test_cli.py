@@ -3,9 +3,13 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import symgraph.cli
+import symgraph.fileio
 import symgraph.power
 from symgraph.cli import main
 from symgraph.fileio import parse_graph, write_stats_json
@@ -134,7 +138,7 @@ def test_float_power_past_the_float_range_exits_2_before_writing(capsys, monkeyp
     code, out, err = run_cli(capsys, ["power", "-k", "2"], "2\n1 2 1e308\n", monkeypatch)
     assert (code, out) == (2, "") and "float64 range" in err
     with pytest.raises(ValueError, match="float64 range"):
-        sym_power(WeightedGraph(2, {(1, 2): 1e308}), 2).upper_edges()
+        sym_power(WeightedGraph(2, {(1, 2): 1e308}), 2).upper_blocks()
     # a float core that stays finite still writes
     code, out, _ = run_cli(capsys, ["power", "-k", "2"], "2\n1 2 1e150\n", monkeypatch)
     assert code == 0 and "inf" not in out
@@ -680,8 +684,8 @@ def test_streamed_power_equals_the_joined_arrays_in_any_block_size(capsys, monke
     for name, graph in [*((name, parse_graph(text)) for name, text in texts.items()), ("rational", rational)]:
         power = sym_power(graph, 3)
         assert power.path == paths.setdefault(name, name)
-        rows, cols, weights = power.upper_edges()
-        want[name, False] = write_edges(power.dim, rows + 1, cols + 1, weights)
+        u, v, weights = map(np.concatenate, zip(*power.upper_blocks()))
+        want[name, False] = write_edges(power.dim, u, v, weights)
         if power.exact:
             rows, cols = np.nonzero(np.triu(power.core))
             exact = list(map(power.entry_exact, rows.tolist(), cols.tolist()))
@@ -693,7 +697,7 @@ def test_streamed_power_equals_the_joined_arrays_in_any_block_size(capsys, monke
     for (name, exact), text in want.items():
         if name == "rational":
             dim, blocks = sym_power_upper_blocks(rational.n, [edge_arrays(rational)], 3, exact=exact)
-            assert "".join(edge_text_blocks(dim, blocks, range(1, dim + 1))) == text, (name, exact)
+            assert "".join(edge_text_blocks(dim, blocks, range(dim + 1))) == text, (name, exact)
         else:
             argv = ["power", "-k", "3"] + (["--exact"] if exact else [])
             code, out, err = run_cli(capsys, argv, stdin=texts[name], monkeypatch=monkeypatch)
@@ -1095,3 +1099,102 @@ def test_exact_power_of_a_float_graph_refuses_before_any_kernel_runs(capsys, mon
     argv = ["power", "-k", "3", "--exact", "--method", method]
     code, out, err = run_cli(capsys, argv, stdin="3\n1 2 0.5\n2 3\n", monkeypatch=monkeypatch)
     assert (code, out, err) == (2, "", "error: --exact requires a graph with rational weights\n")
+
+
+# -- every command against the library -------------------------------------------
+
+# ints, ints past int64, floats with subnormals, and 1e300 and -0.0
+DIFF_WEIGHTS = (
+    st.integers(-9, 9),
+    st.integers(2**63, 2**70).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(-1e3, 1e3, allow_subnormal=True),
+    st.sampled_from([1e300, -0.0, 5e-324, 2.5e-310]),
+)
+# a graph draws its weights from one of these sets of kinds, so that the
+# int64, object and float64 paths each come up often
+DIFF_PALETTES = [(0,), (0, 1), (0, 2), (2,), (0, 3), (2, 3)]
+
+
+@st.composite
+def _graph_files(draw):
+    """A graph on at most 6 vertices and a file of it: its lines shuffled,
+    each pair in either orientation, with comments, in LF or CRLF."""
+    n = draw(st.integers(1, 6))
+    kinds = st.one_of(*(DIFF_WEIGHTS[i] for i in draw(st.sampled_from(DIFF_PALETTES))))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    weights = {(u, v): draw(kinds) for u in range(1, n + 1) for v in range(u, n + 1) if rng.random() < density}
+    lines = []
+    for (u, v), w in weights.items():
+        a, b = (v, u) if draw(st.booleans()) else (u, v)
+        token = "" if w == 1 and type(w) is int and draw(st.booleans()) else f" {w!r}"
+        lines.append(f"{a} {b}{token}" + draw(st.sampled_from(["", " # a note"])))
+    lines = draw(st.permutations(lines + draw(st.lists(st.sampled_from(["# a comment", ""]), max_size=2))))
+    head = draw(st.sampled_from([[], ["# a graph"]]))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join([*head, str(n), *lines]) + draw(st.sampled_from(["", "\n"]))
+    return WeightedGraph(n, weights), text
+
+
+def _power_file(dim, rows, cols, weights):
+    return f"{dim}\n" + "".join(f"{i + 1} {j + 1} {w}\n" for i, j, w in zip(rows.tolist(), cols.tolist(), weights))
+
+
+def _library_powers(graph, k, order):
+    """The power files of the whole-graph library path, float then exact:
+    ``to_dense()`` in the writer's text, and each ``entry_exact``.  Either
+    is None where ``power`` refuses: a float at a weight past the float64
+    range, exact on a graph with a float weight."""
+    from symgraph.graphs import all_rational
+
+    power = sym_power(graph, k, order=order)
+    try:
+        dense = power.to_dense()
+    except ValueError:  # an exact entry past the float64 range
+        dense = None
+    floats = exact = None
+    if dense is not None and np.isfinite(dense).all():  # else the float core's inf or nan
+        rows, cols = np.nonzero(np.triu(dense))
+        floats = _power_file(power.dim, rows, cols, map(repr, dense[rows, cols].tolist()))
+    if all_rational(w for _, _, w in graph.edges()):
+        rows, cols = np.nonzero(np.triu(power.core))
+        exact = _power_file(power.dim, rows, cols, map(str, map(power.entry_exact, rows.tolist(), cols.tolist())))
+    return floats, exact
+
+
+@given(_graph_files(), st.sampled_from(["paper", "lex"]))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_command_equals_the_library_in_any_block_size(capsys, monkeypatch, case, order):
+    # each command through main(), at the default block sizes and at a few
+    # units, against the whole-graph path made at the default sizes, which
+    # the library also gives at a few units; the one designed difference is
+    # power's exit 2 at an entry past the float64 range
+    from symgraph.fileio import write_dot
+    from symgraph.graphs import adjacency_matrix
+    from symgraph.spectra import eigenvalues_symmetric
+
+    graph, text = case
+    want = {
+        ("stats",): write_stats_json(graph),
+        ("stats", "--wiener", "--spectrum"): write_stats_json(graph, True, True),
+        ("spectrum",): "".join(f"{v!r}\n" for v in eigenvalues_symmetric(adjacency_matrix(graph))),
+        ("dot",): write_dot(graph),
+    }
+    for k in (1, 2, 3):
+        argv = ("power", "-k", str(k), "--order", order)
+        want[argv], want[(*argv, "--exact")] = _library_powers(graph, k, order)
+    for size in (None, 5):
+        with monkeypatch.context() as patched:
+            if size is not None:
+                for module, name in ((symgraph.fileio, "_BLOCK_CHARS"), (symgraph.fileio, "_WRITE_LINES"),
+                                     (symgraph.power, "_SUPPORT_BLOCK"), (symgraph.power, "_BLOCK_ELEMS"),
+                                     (symgraph.power, "_MIRROR_TILE")):
+                    patched.setattr(module, name, size)
+                for k in (1, 2, 3):
+                    argv = ("power", "-k", str(k), "--order", order)
+                    assert _library_powers(graph, k, order) == (want[argv], want[(*argv, "--exact")]), k
+            for argv, out in want.items():
+                got = run_cli(capsys, list(argv), stdin=text, monkeypatch=patched)
+                if out is None:
+                    assert got[:2] == (2, "") and got[2].startswith("error: ") and got[2].count("\n") == 1, argv
+                else:
+                    assert got == (0, out, ""), (argv, size)

@@ -18,6 +18,13 @@ from symgraph.combinatorics import (
 )
 
 
+def test_a_tuple_prints_as_its_power_vertex_label():
+    t = VertexMultiset((1, 1, 3), 4)
+    assert str(t) == "1,1,3"
+    m = t.multiplicity()
+    assert (m.counts, m.n, m.k) == ((2, 0, 1, 0), 4, 3)
+
+
 def test_multiset_count_known_values():
     assert multiset_count(2, 2) == 3
     assert multiset_count(3, 2) == 6

@@ -331,13 +331,13 @@ def test_power_file_round_trips_in_any_block_size(monkeypatch, size):
         monkeypatch.setattr(fileio, "_BLOCK_CHARS", size)
         monkeypatch.setattr(fileio, "_WRITE_LINES", size)
     power = sym_power(complete_loops(6), 4)
-    rows, cols, weights = power.upper_edges()
-    text = write_edges(power.dim, rows + 1, cols + 1, weights)
-    lines = zip((rows + 1).tolist(), (cols + 1).tolist(), weights.tolist())
+    pu, pv, weights = map(np.concatenate, zip(*power.upper_blocks()))
+    text = write_edges(power.dim, pu, pv, weights)
+    lines = zip(pu.tolist(), pv.tolist(), weights.tolist())
     assert text == f"{power.dim}\n" + "".join(f"{u} {v} {w!r}\n" for u, v, w in lines)
     n, u, v, w = parse_edges(text)
     assert n == power.dim
-    assert np.array_equal(u, rows + 1) and np.array_equal(v, cols + 1)
+    assert np.array_equal(u, pu) and np.array_equal(v, pv)
     assert w.dtype == np.float64 and np.array_equal(w.view(np.int64), weights.view(np.int64))
 
 

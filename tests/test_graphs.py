@@ -18,6 +18,14 @@ from symgraph.graphs import (
 )
 
 
+def test_equal_graphs_hash_alike_and_repr_counts_pairs():
+    ints = WeightedGraph(3, {(1, 2): 1, (3, 3): 2})
+    floats = WeightedGraph(3, {(2, 1): 1.0, (3, 3): 2.0})
+    assert ints == floats and hash(ints) == hash(floats)
+    assert len({ints, floats, WeightedGraph(3, {(1, 2): 1})}) == 2
+    assert repr(ints) == "WeightedGraph(n=3, edges=2)"
+
+
 def test_weights_canonicalized():
     g = WeightedGraph(3, {(2, 1): 5, (3, 3): 1})
     assert g.weight(1, 2) == 5

@@ -642,9 +642,9 @@ def test_upper_support_scans_row_blocks_in_order(monkeypatch, block):
     for g in graphs:
         power = sym_power(g, 3)
         paths.add(power.path)
-        rows, cols = map(np.concatenate, list(zip(*power.upper_blocks()))[:2])
+        u, v = map(np.concatenate, list(zip(*power.upper_blocks()))[:2])
         want = np.nonzero(np.triu(power.core))
-        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+        assert np.array_equal(u, want[0] + 1) and np.array_equal(v, want[1] + 1)
         # the streamed first power scans the scaled matrix in the same blocks
         dim, streamed = sym_power_upper_blocks(g.n, [edge_arrays(g)], 1)
         streamed, whole = list(streamed), list(sym_power(g, 1).upper_blocks())
@@ -671,8 +671,9 @@ def test_exact_stream_tokens_equal_the_exact_weights(monkeypatch):
         for span, dtype in ((60, np.int64), (2**70, object)):
             for denominator in (1, 12**3, 10**25):
                 core = np.array([[rng.randint(-span, span) for _ in range(big)] for _ in range(big)], dtype=dtype)
-                want = {(i, j): str(ExactWeight.make(Fraction(core.item(i, j), denominator * sizes[i] * sizes[j]),
-                                                     sizes[i] * sizes[j]))
+                # the stream names the pairs by their 1-based vertices
+                want = {(i + 1, j + 1): str(ExactWeight.make(
+                            Fraction(core.item(i, j), denominator * sizes[i] * sizes[j]), sizes[i] * sizes[j]))
                         for i in range(big) for j in range(i, big) if core.item(i, j)}
                 got = {}
                 for rows, cols, (index, texts) in _edge_blocks(_upper_pieces(core), sizes, denominator, exact=True):
@@ -685,7 +686,7 @@ def test_exact_stream_tokens_equal_the_exact_weights(monkeypatch):
 def test_a_weight_that_underflows_leaves_its_pair_out():
     # one core entry of this k=4 power is S = 5e-324, the least subnormal,
     # at D_i * D_j = 4: its weight S / 2 rounds to 0.0, so neither the stream
-    # nor upper_edges() lists the pair, as to_dense() has no edge there
+    # nor upper_blocks() lists the pair, as to_dense() has no edge there
     g = WeightedGraph(3, {(1, 3): 5.527147875260445e-76, (2, 2): 6.908934844075556e-77,
                           (2, 3): 2.635549485807631e-82, (3, 3): 6.747006683667535e-80})
     power = sym_power(g, 4)
@@ -693,8 +694,8 @@ def test_a_weight_that_underflows_leaves_its_pair_out():
     assert np.count_nonzero(np.triu(power.core)) == np.count_nonzero(dense) + 1 == 56
     want = np.nonzero(dense)
     _, blocks = sym_power_upper_blocks(g.n, [edge_arrays(g)], 4)
-    for rows, cols, weights in (power.upper_edges(), tuple(map(np.concatenate, zip(*blocks)))):
-        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+    for u, v, weights in (map(np.concatenate, zip(*pairs)) for pairs in (power.upper_blocks(), blocks)):
+        assert np.array_equal(u, want[0] + 1) and np.array_equal(v, want[1] + 1)
         assert np.array_equal(weights, dense[want])
 
 

@@ -25,6 +25,15 @@ from symgraph.spectra import (
 R5 = math.sqrt(5)
 
 
+def test_a_spectrum_iterates_sorted_and_matches_as_spectra_match():
+    a = Spectrum((2.0, -1.0, 0.5))
+    assert list(a) == [-1.0, 0.5, 2.0]
+    pairs = [(a, Spectrum((0.5, 2.0, -1.0 + 1e-12))), (a, Spectrum((0.5, 2.0, -1.0 + 1e-6))),
+             (a, Spectrum((0.5, 2.0, -1.0 + 1e-6), tol=1e-5)), (a, Spectrum((0.5, 2.0))), (a, a)]
+    got = [x.matches(y) for x, y in pairs]
+    assert got == [spectra_match(x, y) for x, y in pairs] == [True, False, True, False, True]
+
+
 def test_eigenvalues_2x2_golden_ratio():
     spec = eigenvalues_symmetric([[1.0, 1.0], [1.0, 0.0]])
     assert spec.values[0] == pytest.approx((1 - R5) / 2, abs=1e-12)
