@@ -31,6 +31,7 @@ import numpy as np
 from .combinatorics import VertexMultiset, multiset_count, orbit_size
 from .exact import ExactWeight
 from .graphs import WeightedGraph, edge_arrays
+from .power import _check_budget
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,13 @@ def _degrees(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.bincount(u, minlength=n + 1) + np.bincount(v[u != v], minlength=n + 1)
 
 
-def support_stats_blocks(n: int, blocks: Iterable[tuple]) -> dict[str, object]:
-    """n, edge, loop and component counts and the degrees, in that key order, of an
-    n-vertex graph whose distinct weighted pairs (u, v) are counted as the blocks arrive."""
+def support_stats_blocks(n: int, blocks: Iterable[tuple], wiener: bool = False) -> dict[str, object]:
+    """n, edge, loop and component counts, the degrees and the Wiener index, in that key order, of an
+    n-vertex graph whose distinct weighted pairs (u, v) are counted as the blocks arrive.  Their O(n)
+    arrays are charged against the size budget's bytes first: per vertex the forest, the int64 degrees,
+    a block's two int64 ``np.bincount`` and the degree list's pointer.  The Wiener index is None unless
+    ``wiener`` is set and there is one component; then :func:`_distance_sum` reads the blocks again."""
+    _check_budget(f"the stats of n={n} vertices", held=(n + 1) * (np.min_scalar_type(-n - 1).itemsize + 8 + 2 * 8 + 8))
     parent = np.arange(n + 1, dtype=np.min_scalar_type(-n - 1))  # n+1 one-vertex trees
     degrees = np.zeros(n + 1, dtype=np.int64)
     edges = loops = 0
@@ -114,7 +119,8 @@ def support_stats_blocks(n: int, blocks: Iterable[tuple]) -> dict[str, object]:
         degrees += _degrees(n, u, v)
         _merge(parent, u[between], v[between])
     components = int(np.count_nonzero(parent[1:] == np.arange(1, n + 1)))
-    return {"n": n, "edges": edges, "loops": loops, "components": components, "degrees": degrees[1:].tolist()}
+    return {"n": n, "edges": edges, "loops": loops, "components": components, "degrees": degrees[1:].tolist(),
+            "wiener": _distance_sum(n, blocks) if wiener and components == 1 else None}
 
 
 def components(graph: WeightedGraph) -> ComponentStructure:

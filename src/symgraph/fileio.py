@@ -467,6 +467,8 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 def format_weight(w) -> str:
+    """The text of a weight in an object array: ``str`` of an int, an ``ExactWeight`` or a whole
+    Fraction, else ``repr`` of the float; ``str.format`` writes int64 and float64 weights alike."""
     if type(w) is float:  # the common case, ahead of the slower ABC checks below
         return repr(w)
     if isinstance(w, bool):
@@ -491,10 +493,11 @@ def _text_table(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _pair_lines(blocks: Iterable[tuple], names: Sequence, first: str, second: str, weight: str) -> Iterator[str]:
-    """The lines ``first.format(u) + second.format(v) + weight.format(format_weight(w))`` of
-    ``blocks``, ``_WRITE_LINES`` at a time.  A block is (u, v, weights): ends indexing ``names``, and
-    an ndarray, reduced to its distinct values a chunk at a time, or (index, texts), written as they
-    are.  Each chunk is gathered by one ``np.repeat`` index from a byte table of label and weight texts."""
+    """The lines ``first.format(u) + second.format(v) + weight.format(x)`` of ``blocks``, ``_WRITE_LINES``
+    at a time.  A block is (u, v, weights): ends indexing ``names``, and an ndarray, reduced to its distinct
+    values x a chunk at a time (int64 and float64 as Python numbers, which ``str.format`` writes as ``str`` or
+    ``repr``, other dtypes as ``format_weight`` texts), or (index, texts), written as they are.  Each chunk
+    is gathered by one ``np.repeat`` index from a byte table of label and weight texts."""
     labels, label_at, label_size = _text_table([f.format(x) for f in (first, second) for x in names])
     table = labels
     for u, v, weights in blocks:
@@ -504,7 +507,7 @@ def _pair_lines(blocks: Iterable[tuple], names: Sequence, first: str, second: st
                 w, texts = weights[0][lo:hi], weights[1] if lo == 0 else None
             elif weights.dtype in (np.int64, np.float64):  # by bit pattern
                 bits, w = np.unique(weights[lo:hi].view(np.int64), return_inverse=True)
-                texts = map(format_weight, bits.view(weights.dtype).tolist())
+                texts = bits.view(weights.dtype).tolist()
             else:  # by (type, value) as Python values: 1 and 1.0 keep their own texts, 0.0 and -0.0 share one
                 chunk = weights[lo:hi].tolist()
                 keys = list(zip(map(type, chunk), chunk))
@@ -562,9 +565,9 @@ def dot_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = None) 
     No weight text needs escaping: ``format_weight`` writes no ``"`` or ``\\``.
 
     Before the first line, the label table of ``_pair_lines`` is charged against the size budget's
-    bytes, as ``stats_json`` charges its counts: per vertex two texts of at most 8 characters and
-    n's digits, each a ``str``, its list pointer, its copies in the joined ``str`` and in the
-    encoded table, and its int32 length and offset."""
+    bytes, as ``analysis.support_stats_blocks`` charges its counts: per vertex two texts of at most 8
+    characters and n's digits, each a ``str``, its list pointer, its copies in the joined ``str`` and in
+    the encoded table, and its int32 length and offset."""
     u, v, w = _joined(blocks)
     per_vertex = 2 * (sys.getsizeof("") + 8 + 3 * (8 + len(str(n))) + 4 + 4)
     _check_budget(f"the DOT labels of n={n} vertices", held=(n + 1) * per_vertex)
@@ -578,31 +581,20 @@ def dot_blocks(n: int, blocks: Iterable[tuple], labels: Sequence | None = None) 
 
 
 def stats_json(n: int, blocks: Iterable[tuple], wiener: bool = False, spectrum: bool = False) -> str:
-    """The stats JSON of the n-vertex graph whose nonzero pairs come as
-    blocks of 1-based (u, v, w) arrays, u <= v: the counts of
-    :func:`analysis.support_stats_blocks`, then ``wiener``, null unless
-    requested on a connected graph, then ``spectrum`` when requested.  A
-    flag keeps the blocks for the eigensolver's matrix and the BFS (O(n^2)
-    time on a path) and refuses past SYMTENSOR_MAX_N vertices after the
-    last block, so that a bad line is named first.  The counts find
-    whether the graph is connected, so its blocks go straight to the BFS
-    sum, with no second component forest.  The counts' O(n) arrays
-    are charged against the budget's bytes after the flag's checks, so
-    before the first block without a flag: per vertex the forest, the
-    int64 degrees, a block's two int64 ``np.bincount`` and the degree list's pointer."""
+    """The stats JSON of the n-vertex graph whose nonzero pairs come as blocks of 1-based (u, v, w)
+    arrays, u <= v: the record of :func:`analysis.support_stats_blocks`, then ``spectrum`` when
+    requested.  A flag keeps the blocks for the BFS (O(n^2) time on a path) and the eigensolver's
+    matrix, and refuses past SYMTENSOR_MAX_N vertices after the last block, so that a bad line is
+    named first; the counts charge their own arrays after the flag's checks."""
     if wiener or spectrum:
         blocks = list(blocks)
         if wiener:
             _check_budget(f"the Wiener index of n={n} vertices", n)
         if spectrum:
             _check_budget(f"matrix dimension {n}", n)
-    per_vertex = np.min_scalar_type(-n - 1).itemsize + 8 + 2 * 8 + 8
-    _check_budget(f"the stats of n={n} vertices", held=(n + 1) * per_vertex)
-    stats = {**analysis.support_stats_blocks(n, blocks), "wiener": None}
+    stats = analysis.support_stats_blocks(n, blocks, wiener)
     if spectrum:
         stats["spectrum"] = list(eigenvalues_edges(n, blocks).values)
-    if wiener and stats["components"] == 1:
-        stats["wiener"] = analysis._distance_sum(n, blocks)
     return json.dumps(stats) + "\n"
 
 

@@ -606,8 +606,8 @@ class SymPowerMatrix:
     exact: bool
     path: str
     denominator: int
-    tuples: tuple[tuple[int, ...], ...]
-    orbit_sizes: tuple[int, ...]
+    tuples: tuple[tuple[int, ...], ...] = field(repr=False)
+    orbit_sizes: tuple[int, ...] = field(repr=False)
     core: np.ndarray = field(repr=False)
 
     @property

@@ -296,6 +296,32 @@ def test_verify_cli_small_suite(capsys):
     assert "ok wiener" in out
 
 
+# every REPORT line of the two suites that report, at their default budgets: the degrees
+# suite counts its squares' edges with analysis.support_stats_blocks
+REPORT_LINES = {
+    "degrees": ["REPORT degrees printed_lower_edge_bound_violated n=6 edges=14 bound=196 actual=177"],
+    "wiener": [
+        "REPORT wiener readings: oracle is authoritative; closed forms as printed",
+        *(f"REPORT wiener complete n={n} k={k} oracle={oracle} statement={oracle} proof={proof} matches=statement"
+          for n, k, oracle, proof in [
+              (3, 1, 3, 18), (3, 2, 21, 42), (3, 3, 63, 81),
+              (4, 1, 6, 62), (4, 2, 57, 181), (4, 3, 238, 454),
+              (5, 1, 10, 145), (5, 2, 125, 520), (5, 3, 695, 1620),
+              (6, 1, 15, 279), (6, 2, 240, 1194), (6, 3, 1720, 4474),
+          ]),
+        "REPORT wiener cycle_square n=3 oracle=21 statement=21 blocks=21 matches=statement,blocks",
+        "REPORT wiener cycle_square n=5 oracle=235 statement=235 blocks=235 matches=statement,blocks",
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", REPORT_LINES)
+def test_verify_prints_the_report_lines_of_its_suite(capsys, suite):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", suite])
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("REPORT")] == REPORT_LINES[suite]
+
+
 def test_verify_cli_spectra_seeded(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "spectra", "--nmax", "4", "--kmax", "2", "--seed", "7"])
     assert code == 0

@@ -216,7 +216,7 @@ def _arrays_or_error(parse, source):
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
-def test_read_edges_from_a_handle_equals_parse_edges(monkeypatch, block):
+def test_read_blocks_from_a_handle_equals_parse_edges(monkeypatch, block):
     import io
 
     from symgraph import fileio

@@ -789,6 +789,13 @@ def test_power_beyond_the_ryser_cap_is_the_all_ones_closed_form():
             assert power.entry_exact(i, j) == ExactWeight.sqrt(d)
 
 
+def test_power_repr_names_its_fields_not_its_tuples():
+    # N = 1,365 tuples and orbit sizes once made the repr 25,849 characters long
+    text = repr(sym_power(complete_loops(12), 4))
+    assert len(text) < 200
+    assert all(name in text for name in ("n=12", "k=4", "path='int64'", "denominator=1"))
+
+
 @pytest.mark.parametrize("big, path", [(1, "int64"), (10**9, "object")])
 def test_to_dense_divides_the_core_exactly(big, path):
     # L^3 and the largest core entries pass 2^53, where dividing in float64
