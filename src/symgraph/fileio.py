@@ -389,7 +389,7 @@ def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
         yield tail
 
 
-def _edge_blocks(chunks: Iterable[str]) -> Iterator:
+def _file_blocks(chunks: Iterable[str]) -> Iterator:
     """Parse a graph file given as chunks of text, a block of lines at a time.
 
     Yields the vertex count n, then per block the columns (u, v, w) of its
@@ -443,13 +443,13 @@ def parse_edges(text: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     float or there is none, and an ``object`` array of Python ints and floats
     when both occur.  A :class:`GraphFormatError` names the first bad line.
     """
-    blocks = _edge_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS))
+    blocks = _file_blocks(text[i : i + _BLOCK_CHARS] for i in range(0, len(text), _BLOCK_CHARS))
     return (next(blocks), *_joined(blocks))
 
 
 def read_blocks(handle: TextIO) -> Iterator:
-    """n, then the (u, v, w) blocks of :func:`_edge_blocks`, read from a text handle."""
-    return _edge_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
+    """n, then the (u, v, w) blocks of :func:`_file_blocks`, read from a text handle."""
+    return _file_blocks(iter(lambda: handle.read(_BLOCK_CHARS), ""))
 
 
 def _joined(blocks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -467,14 +467,15 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 def format_weight(w) -> str:
-    """The text of a weight in an object array: ``str`` of an int, an ``ExactWeight`` or a whole
-    Fraction, else ``repr`` of the float; ``str.format`` writes int64 and float64 weights alike."""
+    """The text of a weight in an object array: ``str`` of an int (a numpy one too), an
+    ``ExactWeight`` or a whole Fraction, else ``repr`` of the float; ``str.format`` writes int64
+    and float64 weights alike."""
     if type(w) is float:  # the common case, ahead of the slower ABC checks below
         return repr(w)
-    if isinstance(w, bool):
+    if isinstance(w, (bool, np.bool_)):
         raise TypeError("boolean weight")
-    if isinstance(w, (int, ExactWeight)):
-        return str(w)  # an ExactWeight as its q*sqrt(r) token
+    if isinstance(w, (int, np.integer, ExactWeight)):
+        return str(w)  # a numpy int as its digits, an ExactWeight as its q*sqrt(r) token
     if isinstance(w, Fraction):
         return str(w) if w.denominator == 1 else repr(float(w))
     return repr(float(w))  # repr is the shortest round-trip decimal

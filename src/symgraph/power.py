@@ -701,19 +701,28 @@ def _scaled(n: int, blocks: Sequence[tuple], k: int, method: str, order: str) ->
     return _Scaled(dense_matrix(n, blocks, path), True, path, scale**k, tuples, sizes, bound)
 
 
-def _object_bytes(s: _Scaled, n: int, k: int, method: str, whole: bool) -> int:
+def _object_bytes(s: _Scaled, n: int, k: int, method: str, whole: bool, exact: bool = False) -> int:
     """The most bytes a kernel holds at once on the object path, an entry
     priced as a pointer and an int of the bound's size: the orbit kernel's
     core and a chunk of k-fold products; the linear-form kernel's lower
     degrees, temporaries and whole core, or else its scratch block and the
-    pairs that ``_edge_blocks`` joins."""
+    pairs that ``_edge_blocks`` joins, with their keys and texts when ``exact``."""
     entry, big = sys.getsizeof(s.bound) + 8, len(s.sizes)
     if method == "orbit":
         return big * big * entry + max(s.sizes) * min(_ORBIT_CHUNK, n**k) * (8 * k + entry)
     room = min(max(_BLOCK_ELEMS, big), big**2)  # as in _linear_form_blocks
-    # a joined pair holds its value and, for exact output, a numerator as large
-    last = big * big if whole else room + 2 * min(_SUPPORT_BLOCK, big * big)
-    return entry * (sum(m * (m + 1) for m in map(partial(multiset_count, n), range(1, k))) + 2 * room + last)
+    pairs = min(_SUPPORT_BLOCK, big * big)
+    # a joined pair holds its value, and its ends and float64 weight about as much again
+    last = big * big if whole else room + 2 * pairs
+    held = entry * (sum(m * (m + 1) for m in map(partial(multiset_count, n), range(1, k))) + 2 * room + last)
+    if exact:
+        # each joined pair's eight int64 keys (radicands, both inverses, the joint key and
+        # np.unique's sort arrays), and every key taken as distinct, its text and list slot:
+        # "-a/b*sqrt(r)" with a <= the bound, b <= L^k * D_max^2 and r <= D_max^2
+        radicand = max(s.sizes) ** 2
+        digits = sum(int(x.bit_length() * math.log10(2)) + 1 for x in (s.bound, s.denominator * radicand, radicand))
+        held += pairs * (8 * 8 + 8 + sys.getsizeof("") + digits + 9)
+    return held
 
 
 def _whole_power(s: _Scaled, n: int, k: int, method: str, order: str) -> SymPowerMatrix:
@@ -764,7 +773,7 @@ def sym_power_upper_blocks(n: int, blocks: Sequence[tuple], k: int, method: str 
     else:
         if s.path == "object":
             _check_budget(f"the streamed object power of N={len(s.sizes)} (n={n}, k={k})",
-                          held=_object_bytes(s, n, k, method, False))
+                          held=_object_bytes(s, n, k, method, False, exact))
         pieces = partial(_upper_pieces, s.a) if k == 1 else partial(_linear_form_blocks, s.a, n, k, order)
     if not exact:
         _check_float_range(pieces(), s.path, s.denominator, s.bound)

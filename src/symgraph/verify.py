@@ -9,12 +9,13 @@ when any suite failed.  Suites are deterministic for a given seed.
 The ``kernels``, ``components``, ``degrees`` and ``permutation`` suites
 build their cases -- seeded graphs and the predictions for them -- in the
 calling process, in seed order, and :func:`_map_cases` runs them on forked
-worker processes, one per usable CPU.  Each case returns its own
-:class:`SuiteResult`, and the suite merges them in case order, so check
-counts, ``FAIL`` and ``REPORT`` lines do not depend on the number of CPUs.
-``spectra`` builds its cases the same way but runs them in-process: its
-eigensolves call a multithreaded BLAS, whose threads in each worker would
-contend for the same CPUs.  ``subgraph`` and ``wiener`` take a few tens of
+worker processes, one per usable CPU.  The runner, :func:`_run_case`, gives
+each case a fresh :class:`SuiteResult` of its suite to record into -- no
+case function names its suite -- and the suite merges them in case order,
+so check counts, ``FAIL`` and ``REPORT`` lines do not depend on the number
+of CPUs.  ``spectra`` builds its cases the same way and runs them through
+the same runner, but in-process: its eigensolves call a multithreaded BLAS,
+whose threads in each worker would contend for the same CPUs.  ``subgraph`` and ``wiener`` take a few tens of
 milliseconds, about what starting a pool costs, and run in-process too.
 Where a check reads only counts off a power -- components, loops, edges,
 degrees -- it reads them from the power's upper pairs
@@ -23,7 +24,8 @@ degrees -- it reads them from the power's upper pairs
 In the ``wiener`` suite, complete-graph powers and squared odd cycles each
 have two printed closed-form readings.  The suite asserts that the
 statement's reading equals the BFS oracle and *reports* which readings
-each case matches, the other reading (``proof`` or ``blocks``) included.
+each case matches, the other reading (``proof`` or ``blocks``) included;
+:func:`_check_readings` does both for either family.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, repeat
 from typing import Iterable
 
 import numpy as np
@@ -231,12 +233,16 @@ def _workers() -> int:
 _CHUNK = 8
 
 
-def _run_case(case: tuple) -> SuiteResult:
-    return case[0](*case[1:])
+def _run_case(suite: str, case: tuple) -> SuiteResult:
+    """The checks ``function(res, *arguments)`` of one case ``(function,
+    *arguments)`` records into ``res``, a fresh result of ``suite``."""
+    res = SuiteResult(suite)
+    case[0](res, *case[1:])
+    return res
 
 
-def _map_cases(cases: list[tuple]) -> list[SuiteResult]:
-    """``function(*arguments)`` of each case ``(function, *arguments)``, in case order.
+def _map_cases(suite: str, cases: list[tuple]) -> list[SuiteResult]:
+    """``_run_case(suite, case)`` of each case, in case order.
 
     The cases run on a pool of ``_workers()`` forked processes, or
     in-process, one after another, when that is 1.  The functions are
@@ -245,14 +251,14 @@ def _map_cases(cases: list[tuple]) -> list[SuiteResult]:
     """
     workers = _workers()
     if workers == 1:
-        return list(map(_run_case, cases))
+        return list(map(_run_case, repeat(suite), cases))
     # imported here: the pool modules would add to every CLI start-up;
     # forked workers start with the parent's modules already imported
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_case, cases, chunksize=_CHUNK))
+        return list(pool.map(_run_case, repeat(suite), cases, chunksize=_CHUNK))
 
 
 def _support_stats(power: SymPowerMatrix) -> dict[str, object]:
@@ -262,14 +268,12 @@ def _support_stats(power: SymPowerMatrix) -> dict[str, object]:
     return analysis.support_stats_blocks(power.dim, power.upper_blocks())
 
 
-def _kernel_case(tag: str, graph: WeightedGraph, kmax: int) -> SuiteResult:
+def _kernel_case(res: SuiteResult, tag: str, graph: WeightedGraph, kmax: int) -> None:
     """The orbit and permanent cores of one graph, compared for k = 1..kmax."""
-    res = SuiteResult("kernels")
     for k in range(1, kmax + 1):
         a = sym_power(graph, k, method="orbit")
         b = sym_power(graph, k, method="permanent")
         res.check(f"{tag}_k{k}", (a.denominator, a.core.tolist()), (b.denominator, b.core.tolist()))
-    return res
 
 
 def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -298,13 +302,12 @@ def suite_kernels(nmax: int = 4, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     for g in range(25):
         n = rng.randint(2, nmax)
         cases.append((_kernel_case, f"rational_{g}_n{n}", random_rational_graph(rng, n), kmax))
-    res.merge(_map_cases(cases))
+    res.merge(_map_cases(res.name, cases))
     return res
 
 
-def _spectrum_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
+def _spectrum_case(res: SuiteResult, name: str, graph: WeightedGraph, k: int) -> None:
     """The power's eigenvalues against the k-fold products of the graph's."""
-    res = SuiteResult("spectra")
     base = eigenvalues_symmetric(adjacency_matrix(graph))
     got = eigenvalues_symmetric(sym_power(graph, k).to_dense())
     want = predicted_power_spectrum(base, k)
@@ -314,13 +317,11 @@ def _spectrum_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
         expected=[round(v, 10) for v in want.values],
         got=[round(v, 10) for v in got.values],
     )
-    return res
 
 
-def _trace_det_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
+def _trace_det_case(res: SuiteResult, name: str, graph: WeightedGraph, k: int) -> None:
     """The power's trace against the complete homogeneous polynomial of the
     graph's eigenvalues, and its determinant against the power law."""
-    res = SuiteResult("spectra")
     n = graph.n
     base = eigenvalues_symmetric(adjacency_matrix(graph))
     power = sym_power(graph, k)
@@ -351,7 +352,6 @@ def _trace_det_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
             expected=(want_det.sign, round(want_det.logabs, 8)),
             got=(got_det.sign, round(got_det.logabs, 8)),
         )
-    return res
 
 
 def suite_spectra(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -375,7 +375,7 @@ def suite_spectra(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
         cases.append((_trace_det_case, f"{g}_n{n}_k{k}", random_rational_graph(rng, n, p=0.7), k))
     # in-process: on a pool each worker's BLAS runs its own threads on the
     # same CPUs; on 2 vCPUs the suite took 0.23-0.31 s pooled, 0.11-0.19 s here
-    res.merge(map(_run_case, cases))
+    res.merge(map(_run_case, repeat(res.name), cases))
 
     # direct-sum oracle for the trace recurrence
     for g in range(10):
@@ -453,25 +453,20 @@ def _component_signature(graph: WeightedGraph, members: tuple[int, ...]):
     return ("other", len(members))
 
 
-def _count_case(suite: str, key: str, name: str, graph: WeightedGraph, k: int, want: int) -> SuiteResult:
+def _count_case(res: SuiteResult, key: str, name: str, graph: WeightedGraph, k: int, want: int) -> None:
     """One count of the power, its ``_support_stats`` entry ``key``, against
     its prediction."""
-    res = SuiteResult(suite)
     res.check(name, want, _support_stats(sym_power(graph, k))[key])
-    return res
 
 
-def _ceiling_case(name: str, graph: WeightedGraph, k: int) -> SuiteResult:
+def _ceiling_case(res: SuiteResult, name: str, graph: WeightedGraph, k: int) -> None:
     """At most 2^(k-1) components in the power."""
-    res = SuiteResult("components")
     got = _support_stats(sym_power(graph, k))["components"]
     res.check_true(name, got <= 2 ** (k - 1), f"<={2 ** (k - 1)}", got)
-    return res
 
 
-def _bipartite_case(a: int, b: int, k: int) -> SuiteResult:
+def _bipartite_case(res: SuiteResult, a: int, b: int, k: int) -> None:
     """The shape of every component of the power of K_{a,b}, and their count."""
-    res = SuiteResult("components")
     power = sym_power_graph(complete_bipartite(a, b), k)
     structure = analysis.components(power)
     want = sorted(
@@ -481,7 +476,6 @@ def _bipartite_case(a: int, b: int, k: int) -> SuiteResult:
     got = sorted(_component_signature(power, comp) for comp in structure.members)
     res.check(f"bipartite_{a}_{b}_k{k}", want, got)
     res.check(f"bipartite_{a}_{b}_k{k}_count", (k + 2) // 2, structure.count)
-    return res
 
 
 def suite_components(nmax: int = 8, kmax: int = 5, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -489,7 +483,7 @@ def suite_components(nmax: int = 8, kmax: int = 5, seed: int = DEFAULT_SEED) -> 
     res = SuiteResult("components")
     rng = random.Random(seed)
     cases = []
-    component_count = (_count_case, "components", "components")
+    component_count = (_count_case, "components")
 
     for n in range(2, min(nmax, 7) + 1):
         for k in range(1, min(kmax, 5) + 1):
@@ -518,14 +512,13 @@ def suite_components(nmax: int = 8, kmax: int = 5, seed: int = DEFAULT_SEED) -> 
     for tag, graph in family_graphs(min(nmax, 7)):
         for k in range(1, min(kmax, 4) + 1):
             cases.append((_ceiling_case, f"ceiling_{tag}_k{k}", graph, k))
-    res.merge(_map_cases(cases))
+    res.merge(_map_cases(res.name, cases))
     return res
 
 
-def _square_case(g: int, graph: WeightedGraph) -> SuiteResult:
+def _square_case(res: SuiteResult, g: int, graph: WeightedGraph) -> None:
     """Degrees, loops and edges of the square of a loopless graph against
     their formulas; the printed lower edge bound is reported, not checked."""
-    res = SuiteResult("degrees")
     n = graph.n
     power = sym_power(graph, 2)
     stats = _support_stats(power)
@@ -551,23 +544,19 @@ def _square_case(g: int, graph: WeightedGraph) -> SuiteResult:
                 f"REPORT degrees printed_lower_edge_bound_violated n={n} "
                 f"edges={analysis.edge_count(graph)} bound={lo} actual={e2}"
             )
-    return res
 
 
-def _two_loops_case() -> SuiteResult:
+def _two_loops_case(res: SuiteResult) -> None:
     """Two looped vertices and no edge: the loop formula of the square sees
     them through its nonadjacent-pair term."""
-    res = SuiteResult("degrees")
     two_loops = WeightedGraph(2, {(1, 1): 1, (2, 2): 1})
     res.check("nonadjacent_loop_pair", 1, analysis.nonadjacent_loop_pairs(two_loops))
     res.check("loops2_two_loops", 3, _support_stats(sym_power(two_loops, 2))["loops"])
-    return res
 
 
-def _constant_tuple_case(g: int, graph: WeightedGraph, k: int) -> SuiteResult:
+def _constant_tuple_case(res: SuiteResult, g: int, graph: WeightedGraph, k: int) -> None:
     """Degrees of the constant tuples, and every degree within the
     joint-neighborhood bound."""
-    res = SuiteResult("degrees")
     n = graph.n
     power = sym_power(graph, k)
     degrees = _support_stats(power)["degrees"]
@@ -579,22 +568,18 @@ def _constant_tuple_case(g: int, graph: WeightedGraph, k: int) -> SuiteResult:
         for r in range(power.dim)
     )
     res.check_true(f"neighbor_bound_{g}", ok)
-    return res
 
 
-def _one_regular_case(half: int, k: int) -> SuiteResult:
+def _one_regular_case(res: SuiteResult, half: int, k: int) -> None:
     """A perfect matching's powers are 1-regular."""
-    res = SuiteResult("degrees")
     matching = WeightedGraph(2 * half, {(2 * i + 1, 2 * i + 2): 1 for i in range(half)})
     degrees = _support_stats(sym_power(matching, k))["degrees"]
     res.check(f"one_regular_{half}_k{k}", [1], sorted(set(degrees)))
-    return res
 
 
-def _all_ones_case(n: int) -> SuiteResult:
+def _all_ones_case(res: SuiteResult, n: int) -> None:
     """Powers of the all-ones matrix: complete with loops, with known
     weights and edge counts."""
-    res = SuiteResult("degrees")
     edges2 = _support_stats(sym_power(complete_loops(n), 2))["edges"]
     res.check(f"allones_{n}_edges", math.comb(math.comb(n + 1, 2) + 1, 2), edges2)
     for k in range(1, 4):
@@ -610,7 +595,6 @@ def _all_ones_case(n: int) -> SuiteResult:
             for j in range(i, big)
         )
         res.check_true(f"allones_{n}_k{k}_weights", ok)
-    return res
 
 
 def suite_degrees(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -618,7 +602,7 @@ def suite_degrees(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
     res = SuiteResult("degrees")
     rng = random.Random(seed)
     cases = []
-    loop_count = (_count_case, "degrees", "loops")
+    loop_count = (_count_case, "loops")
 
     # squared-power formulas on loopless graphs
     for g in range(100):
@@ -645,8 +629,18 @@ def suite_degrees(nmax: int = 6, kmax: int = 4, seed: int = DEFAULT_SEED) -> Sui
 
     cases += [(_one_regular_case, half, k) for half in (1, 2, 3) for k in range(1, min(kmax, 4) + 1)]
     cases += [(_all_ones_case, n) for n in range(1, 5)]
-    res.merge(_map_cases(cases))
+    res.merge(_map_cases(res.name, cases))
     return res
+
+
+def _check_readings(res: SuiteResult, case: str, where: str, power: WeightedGraph, **readings: int) -> None:
+    """Check the ``statement`` reading of the power's Wiener index against
+    the BFS oracle, and report every reading, in order, and which match it."""
+    oracle = analysis.wiener_index(power)
+    res.check(case, oracle, readings["statement"])
+    printed = " ".join(f"{name}={value}" for name, value in readings.items())
+    matches = ",".join(name for name, value in readings.items() if value == oracle)
+    res.report.append(f"REPORT wiener {where} oracle={oracle} {printed} matches={matches or 'none'}")
 
 
 def suite_wiener(nmax: int = 6, kmax: int = 3, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -667,39 +661,23 @@ def suite_wiener(nmax: int = 6, kmax: int = 3, seed: int = DEFAULT_SEED) -> Suit
     res.report.append("REPORT wiener readings: oracle is authoritative; closed forms as printed")
     for n in range(3, nmax + 1):
         for k in range(1, kmax + 1):
-            oracle = analysis.wiener_index(sym_power_graph(complete(n), k))
-            statement = analysis.wiener_complete_power_statement(n, k)
-            res.check(f"complete_{n}_k{k}", oracle, statement)
-            proof = analysis.wiener_complete_power_proof(n, k)
-            matches = [
-                name
-                for name, val in (("statement", statement), ("proof", proof))
-                if val == oracle
-            ]
-            res.report.append(
-                f"REPORT wiener complete n={n} k={k} oracle={oracle} "
-                f"statement={statement} proof={proof} matches={','.join(matches) or 'none'}"
+            _check_readings(
+                res, f"complete_{n}_k{k}", f"complete n={n} k={k}", sym_power_graph(complete(n), k),
+                statement=analysis.wiener_complete_power_statement(n, k),
+                proof=analysis.wiener_complete_power_proof(n, k),
             )
-
     for n in range(3, nmax + 1, 2):
-        oracle = analysis.wiener_index(sym_power_graph(cycle(n), 2))
-        statement = analysis.wiener_cycle_square_statement(n)
-        res.check(f"cycle_square_{n}", oracle, statement)
-        blocks = analysis.wiener_cycle_square_blocks(n)
-        matches = [
-            name for name, val in (("statement", statement), ("blocks", blocks)) if val == oracle
-        ]
-        res.report.append(
-            f"REPORT wiener cycle_square n={n} oracle={oracle} "
-            f"statement={statement} blocks={blocks} matches={','.join(matches) or 'none'}"
+        _check_readings(
+            res, f"cycle_square_{n}", f"cycle_square n={n}", sym_power_graph(cycle(n), 2),
+            statement=analysis.wiener_cycle_square_statement(n),
+            blocks=analysis.wiener_cycle_square_blocks(n),
         )
     return res
 
 
-def _permutation_matrix_case(g: int, k: int, sigma: list[int]) -> SuiteResult:
+def _permutation_matrix_case(res: SuiteResult, g: int, k: int, sigma: list[int]) -> None:
     """The k-th power of sigma's matrix, entry by entry by the orbit sum, is
     the matrix of the rank permutation sigma induces, a bijection."""
-    res = SuiteResult("permutation")
     n = len(sigma)
     sp = sym_power_permutation(sigma, k)
     rows, rational = _read_matrix(permutation_matrix(sigma))
@@ -711,12 +689,10 @@ def _permutation_matrix_case(g: int, k: int, sigma: list[int]) -> SuiteResult:
     )
     res.check_true(f"perm_matrix_{g}_n{n}_k{k}", ok)
     res.check(f"perm_bijection_{g}", sorted(sp.mapping), list(range(sp.dim)))
-    return res
 
 
-def _equivariance_case(g: int, graph: WeightedGraph, k: int, sigma: list[int]) -> SuiteResult:
+def _equivariance_case(res: SuiteResult, g: int, graph: WeightedGraph, k: int, sigma: list[int]) -> None:
     """Relabeling by sigma before the power equals permuting the power."""
-    res = SuiteResult("permutation")
     n = graph.n
     a = sym_power(graph, k)
     b = sym_power(relabel(graph, sigma), k)
@@ -729,7 +705,6 @@ def _equivariance_case(g: int, graph: WeightedGraph, k: int, sigma: list[int]) -
         [a.orbit_sizes[x] for x in range(a.dim)],
         [b.orbit_sizes[sp.apply(x)] for x in range(a.dim)],
     )
-    return res
 
 
 def suite_permutation(nmax: int = 5, kmax: int = 3, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -776,7 +751,7 @@ def suite_permutation(nmax: int = 5, kmax: int = 3, seed: int = DEFAULT_SEED) ->
         k = rng.randint(1, kmax)
         graph = random_rational_graph(rng, n, p=0.6)
         cases.append((_equivariance_case, g, graph, k, random_permutation(rng, n)))
-    res.merge(_map_cases(cases))
+    res.merge(_map_cases(res.name, cases))
     return res
 
 

@@ -530,6 +530,20 @@ def test_write_edges_keeps_each_weight_type_through_the_distinct_step():
         write_edges(1, [1, 1], [1, 1], [1, True])
 
 
+def test_numpy_int_weights_are_written_as_ints():
+    # numpy ints in an object column parse back as ints, and a numpy bool is no weight
+    weights = [np.int8(-3), np.int64(2**62), np.uint64(2**64 - 1)]
+    text = write_edges(3, [1, 1, 2], [1, 2, 3], weights)
+    assert text == f"3\n1 1 -3\n1 2 {2**62}\n2 3 {2**64 - 1}\n"
+    n, u, v, w = parse_edges(text)
+    assert w.dtype == object and w.tolist() == [-3, 2**62, 2**64 - 1]
+    assert all(type(x) is int for x in w.tolist())
+    assert write_edges(2, [1], [2], [np.int64(3)]) == "2\n1 2 3\n"
+    assert parse_edges("2\n1 2 3\n")[3].dtype == np.int64
+    with pytest.raises(TypeError):
+        write_edges(2, [1], [2], [np.True_])
+
+
 def test_write_graph_deterministic():
     g = WeightedGraph(3, {(2, 3): 1, (1, 2): 2.5})
     out = write_graph(g)

@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from symgraph.combinatorics import VertexMultiset, enumerate_multisets, orbit_size, rank
+from symgraph.combinatorics import VertexMultiset, enumerate_multisets, orbit_size, rank, unrank
 from symgraph.exact import ExactWeight
 from symgraph.graphs import (
     WeightedGraph,
@@ -625,7 +625,7 @@ def test_huge_weights_use_python_exact_fallback():
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
-def test_upper_support_scans_row_blocks_in_order(monkeypatch, block):
+def test_upper_blocks_scan_row_blocks_in_order(monkeypatch, block):
     # int64, object and float64 cores, with zeros on and off the diagonal
     import symgraph.power
 
@@ -652,6 +652,57 @@ def test_upper_support_scans_row_blocks_in_order(monkeypatch, block):
         for got, block in zip(streamed, whole):
             assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, block))
     assert paths == {"int64", "object", "float64"}
+
+
+# a prime below 2^25: a core row's N products of two residues sum within int64
+POLARIZATION_PRIME = 33_554_393
+
+
+def _polarization_misses(core, rows, k, order, xs):
+    """The rows I of ``core`` where sum_J S_IJ x^J and D_I prod_a (A'x)_{i_a}, A' the
+    integer matrix ``rows``, differ mod p at one of the columns x of ``xs``; the tuples
+    and D_I come from ``unrank`` and ``orbit_size``."""
+    p, n = POLARIZATION_PRIME, len(rows)
+    tuples = [unrank(r, n, k, order) for r in range(len(core))]
+    at = np.array([t.entries for t in tuples]) - 1
+    want = np.array([[orbit_size(t.multiplicity())] for t in tuples], dtype=np.int64)
+    ax = np.array([[int(w) % p for w in row] for row in rows], dtype=np.int64) @ xs % p
+    monomials = np.ones((len(core), xs.shape[1]), dtype=np.int64)
+    for a in range(k):
+        monomials = monomials * xs[at[:, a]] % p
+        want = want * ax[at[:, a]] % p
+    got = (core % p).astype(np.int64) @ monomials % p
+    return np.flatnonzero((got != want).any(axis=1)).tolist()
+
+
+def test_every_core_row_is_the_polarization_of_a_product_of_linear_forms():
+    # sum_J S_IJ x^J = D_I prod_a (A'x)_{i_a} with A' = L A, at two seeded points mod p, on
+    # int64 (N = 1,365, many kernel blocks), object and rational cores in both orders;
+    # +1 on one symmetric pair of a copy of the core breaks exactly its two rows
+    rng = random.Random(19)
+    signed = WeightedGraph(12, {(a, b): rng.choice((-1, 1)) * rng.randint(1, 5)
+                                for a in range(1, 13) for b in range(a, 13) if rng.random() < 0.5})
+    large = WeightedGraph(8, {(a, b): rng.choice((-1, 1)) * rng.randint(1, 9) * 70_001
+                              for a in range(1, 9) for b in range(a, 9)})
+    rational = WeightedGraph(6, {(a, b): Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 6))
+                                 for a in range(1, 7) for b in range(a, 7) if rng.random() < 0.7})
+    seen = []
+    for g, k in ((signed, 4), (large, 4), (rational, 3)):
+        scale = math.lcm(*(Fraction(w).denominator for _, _, w in g.edges()))
+        rows = [[w * scale for w in row] for row in g.weight_rows()]
+        xs = np.array([[rng.randrange(1, POLARIZATION_PRIME) for _ in range(2)] for _ in range(g.n)])
+        for order in ("paper", "lex"):
+            power = sym_power(g, k, order=order)
+            seen.append((power.path, power.dim))
+            assert power.denominator == scale**k
+            assert _polarization_misses(power.core, rows, k, order, xs) == []
+            core = power.core.copy()
+            i, j = 1, power.dim - 2
+            core[i, j] += 1
+            core[j, i] += 1
+            assert _polarization_misses(core, rows, k, order, xs) == [i, j]
+    assert seen == [("int64", 1365)] * 2 + [("object", 330)] * 2 + [("int64", 56)] * 2
+    assert scale > 1  # the rational graph's L
 
 
 def test_exact_stream_tokens_equal_the_exact_weights(monkeypatch):
@@ -1142,6 +1193,36 @@ def test_the_orbit_object_core_shares_its_ints_and_stays_within_its_price(weight
     assert power.path == "object"
     assert all(power.core[i, j] is power.core[j, i] for i in range(power.dim) for j in range(i, power.dim))
     assert peak <= price
+
+
+def test_the_exact_object_stream_stays_within_its_price():
+    # --exact joins each pair's int64 keys and a text per distinct key to the
+    # plain stream's pairs; on a dense signed graph nearly every key is
+    # distinct, and the plain stream's price fell 13% below this peak
+    import tracemalloc
+
+    from symgraph.power import _index_tables, _linear_form_tables, _object_bytes, _scaled
+
+    rng = random.Random(14)
+    n, k = 6, 5
+    g = WeightedGraph(n, {(a, b): rng.choice((-1, 1)) * rng.randint(1, 9) * 70_001
+                          for a in range(1, n + 1) for b in range(a, n + 1)})
+    blocks = [edge_arrays(g)]
+    scaled = _scaled(n, blocks, k, "permanent", "paper")
+    assert scaled.path == "object"
+    price = _object_bytes(scaled, n, k, "permanent", False, exact=True)
+    assert price > _object_bytes(scaled, n, k, "permanent", False)
+    _index_tables.cache_clear()  # the peak counts the tables too, whatever ran before
+    _linear_form_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        dim, pairs = sym_power_upper_blocks(n, blocks, k, exact=True)
+        count = sum(len(u) for u, _, _ in pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == dim * (dim + 1) // 2 - 42  # 42 zero entries
+    assert peak <= price, price / peak
 
 
 def test_the_float_bound_holds_no_gather_or_masked_copy_of_the_weights():
